@@ -75,7 +75,7 @@ HOSTILE_DEADLINE_S = 0.2
 #: Shard count for the partitioned-crawl probe.
 CRAWL_SHARDS = 8
 #: The sharded crawl's peak RSS must stay within this ratio of the
-#: unsharded crawl's (both peaks share the same numpy/scipy import floor,
+#: unsharded crawl's (both peaks share the same numpy import floor,
 #: so the ratio is stable against allocator/THP variance; the sharded
 #: dataflow holds one shard's payloads instead of the whole corpus and in
 #: practice sits below 1.0x).
@@ -85,9 +85,9 @@ SHARDED_RSS_LIMIT_RATIO = 1.25
 #: compares two readings that share the same import floor, so it passes
 #: even when an allocator/THP artifact balloons both probes together —
 #: and committing such a run would let the perf gate's 1.5x tolerance
-#: ratchet the allowed RSS upward indefinitely.  Healthy runs peak around
-#: 146 MB (import floor ~140 MB); this bound must not be raised by a
-#: baseline refresh without a root cause.
+#: ratchet the allowed RSS upward indefinitely.  Healthy runs of this
+#: module alone read ~89 MB for both probes; this bound must not be raised
+#: by a baseline refresh without a root cause.
 CRAWL_RSS_ABS_LIMIT_MB = 512
 
 #: ``ru_maxrss`` units per megabyte: kibibytes on Linux, bytes on macOS.

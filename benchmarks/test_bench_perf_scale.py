@@ -54,8 +54,8 @@ Measures the properties that make the sharded data layer safe to use at
   the RSS row, this turns the perf gate into a payload-size gate); the
   broadcast contract must shrink per-task pickles ≥``MIN_PICKLE_SHRINK``×.
 
-Both child probes share an import-time RSS floor (numpy/scipy/networkx,
-~115 MB) that dominates their peak readings, so the 2x ratio alone cannot
+Both child probes share an import-time RSS floor (numpy and networkx,
+~52 MB) that dominates their peak readings, so the 2x ratio alone cannot
 see a regression — or an allocator/THP artifact — that inflates both sides
 equally.  Two guards close that hole: each child also reports its RSS right
 after imports (persisted under ``invariants`` so a baseline diff shows
@@ -139,7 +139,7 @@ MAX_CLASSIFY_WALL_RATIO = 1.5
 #: assert below compares two readings that share the same import floor, so
 #: it passes even when both balloon together — and committing such a run as
 #: the new baseline would let the perf gate's 1.5x tolerance ratchet the
-#: allowed peak upward indefinitely.  Healthy runs peak around 125 MB; the
+#: allowed peak upward indefinitely.  Healthy runs peak around 58 MB; the
 #: ceiling leaves room for allocator/THP variance across platforms while
 #: still catching an unbounded ratchet.
 RSS_ABS_LIMIT_MB = 512

@@ -5,7 +5,7 @@ Aggregates the privacy-policy framework's output into:
 * per-category and per-data-type label distributions (Figures 9 and 10);
 * the per-Action CDF of label fractions (Figure 11);
 * per-Action consistency versus collected-item count with the Spearman
-  correlation the paper reports (Figure 12);
+  correlation the paper reports (Figure 12, :func:`spearman_correlation`);
 * the Actions with five or more clearly disclosed data types (Table 7) and the
   share of Actions whose whole data collection is consistent (Section 5.2.3).
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.crawler.corpus import CrawlCorpus
 from repro.policy.framework import PolicyConsistencyReport
@@ -41,6 +40,34 @@ LABEL_ORDER: Tuple[ConsistencyLabel, ...] = (
     ConsistencyLabel.INCORRECT,
     ConsistencyLabel.OMITTED,
 )
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their average rank."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    # Each run of equal values spans sorted positions [start, end).
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def spearman_correlation(x, y) -> float:
+    """Spearman's rank correlation of two paired samples.
+
+    Pearson's correlation of the average ranks, computed as
+    :func:`scipy.stats.spearmanr` computes it.  NaN when either sample is
+    constant or contains NaN, as there.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True)
@@ -123,8 +150,8 @@ class DisclosureAnalysis:
         consistency = [fraction for _, fraction in self.consistency_vs_items]
         if len(set(items)) < 2 or len(set(consistency)) < 2:
             return 0.0
-        coefficient, _ = scipy_stats.spearmanr(items, consistency)
-        return float(coefficient) if not np.isnan(coefficient) else 0.0
+        coefficient = spearman_correlation(items, consistency)
+        return coefficient if not np.isnan(coefficient) else 0.0
 
     def top_consistent_actions(self, min_clear: int = 5) -> List[ConsistentActionRow]:
         """Table 7: Actions with at least ``min_clear`` consistent disclosures."""

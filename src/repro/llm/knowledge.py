@@ -10,7 +10,7 @@ broader terms — these drive the *vague* consistency label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.nlp.stopwords import remove_stopwords
 from repro.nlp.tokenization import normalize_text, tokenize
@@ -109,6 +109,13 @@ NEGATION_MARKERS: Tuple[str, ...] = (
     "does not store", "never share", "do not share anything", "does not collect any",
 )
 
+#: Bound of each per-instance memo of :class:`KeywordKnowledgeBase` (ranked
+#: candidates per normalized description, facts per sentence).  Descriptions
+#: and policy sentences repeat heavily within a run, so each distinct text is
+#: scored once.  Wholesale-cleared at capacity, like
+#: ``SentenceEmbedder.TEXT_CACHE_CAPACITY``.
+MEMO_CAPACITY = 1 << 14
+
 
 @dataclass(frozen=True)
 class MatchCandidate:
@@ -129,6 +136,34 @@ class MatchCandidate:
         return self.data_type.name
 
 
+class SentenceFacts(NamedTuple):
+    """What the consistency labeller asks of one policy sentence."""
+
+    normalized: str
+    tokens: FrozenSet[str]
+    vague_categories: Tuple[str, ...]
+    negation: bool
+    affirmative: bool
+
+
+class _MentionTerms(NamedTuple):
+    """A data type's normalized terms, as :meth:`sentence_mentions_type` tests them."""
+
+    phrases: Tuple[str, ...]
+    words: FrozenSet[str]
+    name_tokens: FrozenSet[str]
+
+
+def _mention_terms(data_type: DataType) -> _MentionTerms:
+    terms = [normalize_text(keyword) for keyword in data_type.keywords]
+    terms.append(normalize_text(data_type.name))
+    return _MentionTerms(
+        phrases=tuple(term for term in terms if " " in term),
+        words=frozenset(term for term in terms if term and " " not in term),
+        name_tokens=frozenset(remove_stopwords(tokenize(data_type.name))),
+    )
+
+
 class KeywordKnowledgeBase:
     """Scores free-text data descriptions against taxonomy data types.
 
@@ -137,6 +172,9 @@ class KeywordKnowledgeBase:
     knowledge base is intentionally imperfect — short, empty, or multi-topic
     descriptions score poorly, which is exactly the behaviour the paper's
     mistake analysis attributes to the real LLM (Section 4.1.2).
+
+    The index, and the memos of :meth:`match` and :meth:`sentence_facts`,
+    reflect the taxonomy as it was when the knowledge base was built.
     """
 
     #: Minimum score for a match to be considered at all.
@@ -146,6 +184,9 @@ class KeywordKnowledgeBase:
         self.taxonomy = taxonomy
         self._phrase_index: List[Tuple[str, DataType, float]] = []
         self._token_index: Dict[str, List[Tuple[DataType, float]]] = {}
+        self._type_terms: Dict[DataType, _MentionTerms] = {}
+        self._ranked: Dict[str, Tuple[MatchCandidate, ...]] = {}
+        self._sentences: Dict[str, SentenceFacts] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -195,6 +236,15 @@ class KeywordKnowledgeBase:
         normalized = normalize_text(description)
         if not normalized:
             return []
+        ranked = self._ranked.get(normalized)
+        if ranked is None:
+            if len(self._ranked) >= MEMO_CAPACITY:
+                self._ranked.clear()
+            ranked = self._ranked[normalized] = self._rank(normalized)
+        return list(ranked[:limit])
+
+    def _rank(self, normalized: str) -> Tuple[MatchCandidate, ...]:
+        """Every candidate scoring at least :attr:`MIN_SCORE`, best first."""
         scores: Dict[Tuple[str, str], float] = {}
         matched: Dict[Tuple[str, str], List[str]] = {}
         description_tokens = set(tokenize(normalized))
@@ -232,7 +282,7 @@ class KeywordKnowledgeBase:
                 )
             )
         candidates.sort(key=lambda candidate: (-candidate.score, candidate.type_name))
-        return candidates[:limit]
+        return tuple(candidates)
 
     def best_match(self, description: str) -> Optional[MatchCandidate]:
         """The single best candidate, or ``None`` when nothing matches."""
@@ -247,16 +297,31 @@ class KeywordKnowledgeBase:
         return (best.category, best.type_name)
 
     # ------------------------------------------------------------------
+    def sentence_facts(self, sentence: str) -> SentenceFacts:
+        """The sentence-level predicates of a sentence, computed once per sentence."""
+        facts = self._sentences.get(sentence)
+        if facts is None:
+            normalized = normalize_text(sentence)
+            categories: List[str] = []
+            for phrase, covered in VAGUE_CATEGORY_TERMS.items():
+                if phrase in normalized:
+                    for category in covered:
+                        if category not in categories:
+                            categories.append(category)
+            if len(self._sentences) >= MEMO_CAPACITY:
+                self._sentences.clear()
+            facts = self._sentences[sentence] = SentenceFacts(
+                normalized=normalized,
+                tokens=frozenset(tokenize(normalized)),
+                vague_categories=tuple(categories),
+                negation=self.mentions_negation(sentence),
+                affirmative=self.mentions_affirmative_collection(sentence),
+            )
+        return facts
+
     def vague_categories(self, sentence: str) -> List[str]:
         """Categories covered by umbrella terms mentioned in a sentence."""
-        normalized = normalize_text(sentence)
-        categories: List[str] = []
-        for phrase, covered in VAGUE_CATEGORY_TERMS.items():
-            if phrase in normalized:
-                for category in covered:
-                    if category not in categories:
-                        categories.append(category)
-        return categories
+        return list(self.sentence_facts(sentence).vague_categories)
 
     #: Nouns that indicate a sentence is talking about data (used to filter
     #: out sentences that merely contain a generic verb like "use").
@@ -324,24 +389,18 @@ class KeywordKnowledgeBase:
         return False
 
     def sentence_mentions_type(self, sentence: str, data_type: DataType) -> bool:
-        """Whether a sentence explicitly mentions a specific data type."""
-        normalized = normalize_text(sentence)
-        sentence_tokens = set(tokenize(normalized))
+        """Whether a sentence explicitly mentions a specific data type.
 
-        def phrase_hit(phrase: str) -> bool:
-            if not phrase:
-                return False
-            if " " in phrase:
-                return phrase in normalized
-            return phrase in sentence_tokens
-
-        for keyword in data_type.keywords:
-            if phrase_hit(normalize_text(keyword)):
-                return True
-        if phrase_hit(normalize_text(data_type.name)):
+        A keyword or the type name counts as a whole-token hit when it is one
+        word, as a substring hit otherwise.
+        """
+        facts = self.sentence_facts(sentence)
+        terms = self._type_terms.get(data_type)
+        if terms is None:
+            terms = self._type_terms[data_type] = _mention_terms(data_type)
+        if not terms.words.isdisjoint(facts.tokens):
+            return True
+        if any(phrase in facts.normalized for phrase in terms.phrases):
             return True
         # Token-level fallback: every content token of the type name appears.
-        name_tokens = remove_stopwords(tokenize(data_type.name))
-        if name_tokens and all(token in sentence_tokens for token in name_tokens):
-            return True
-        return False
+        return bool(terms.name_tokens) and terms.name_tokens <= facts.tokens

@@ -33,13 +33,70 @@ class PromptError(ValueError):
     """Raised when a prompt or an LLM response cannot be parsed."""
 
 
+class _Fragment(str):
+    """A payload value already encoded by :func:`_encode_value`."""
+
+
+#: Bound of the process-wide cache of encoded taxonomy summaries, which
+#: repeat across a run's prompts.  Wholesale-cleared at capacity, like
+#: ``SentenceEmbedder.TEXT_CACHE_CAPACITY``.  Each entry is a pure function of
+#: its key, so threads share it unlocked: a race can only encode a summary
+#: twice or clear the cache early.
+FRAGMENT_CACHE_CAPACITY = 1 << 8
+
+_FRAGMENTS: Dict[tuple, _Fragment] = {}
+
+
+def _encode_value(value: object) -> str:
+    """``value`` as ``json.dumps(payload, indent=2)`` writes a top-level value.
+
+    JSON escapes newlines inside strings, so every newline of the encoding
+    starts a line that the payload indents by one more level.
+    """
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+
+
+def _taxonomy_fragment(taxonomy) -> _Fragment:
+    """:func:`taxonomy_summary` of a taxonomy, encoded once per distinct content.
+
+    The key holds every string of the summary; it is far cheaper to build
+    than the indented encoding, which ``json`` does in pure Python.
+    """
+    key = tuple(
+        (
+            category.name,
+            category.description,
+            tuple((data_type.name, data_type.description) for data_type in category.data_types),
+        )
+        for category in taxonomy.categories
+    )
+    fragment = _FRAGMENTS.get(key)
+    if fragment is None:
+        if len(_FRAGMENTS) >= FRAGMENT_CACHE_CAPACITY:
+            _FRAGMENTS.clear()
+        fragment = _FRAGMENTS[key] = _Fragment(_encode_value(taxonomy_summary(taxonomy)))
+    return fragment
+
+
 def _render(task: str, instructions: str, payload: Mapping[str, object]) -> str:
-    """Assemble a prompt from a task id, instructions, and a JSON payload."""
+    """Assemble a prompt from a task id, instructions, and a JSON payload.
+
+    The payload is written as ``json.dumps(payload, indent=2,
+    ensure_ascii=False)`` writes it, one top-level value at a time, so that
+    :class:`_Fragment` values are spliced in without being encoded again.
+    """
+    members = ",\n  ".join(
+        json.dumps(key, ensure_ascii=False)
+        + ": "
+        + (value if isinstance(value, _Fragment) else _encode_value(value))
+        for key, value in payload.items()
+    )
+    body = f"{{\n  {members}\n}}" if members else "{}"
     return (
         f"{TASK_MARKER} {task}\n"
         f"{instructions.strip()}\n\n"
         f"{_PAYLOAD_START}\n"
-        f"{json.dumps(payload, indent=2, ensure_ascii=False)}\n"
+        f"{body}\n"
         f"{_PAYLOAD_END}\n"
         "You MUST STRICTLY follow the provided output example. "
         "Respond only in the specified JSON format, with no additional text.\n"
@@ -178,7 +235,7 @@ def render_classification_prompt(
     else:
         raise PromptError(f"unknown classification phase: {phase!r}")
     payload: Dict[str, object] = {
-        "taxonomy": taxonomy_summary(taxonomy),
+        "taxonomy": _taxonomy_fragment(taxonomy),
         "examples": list(examples),
         "entities": list(entities),
         "output_format": {
@@ -218,7 +275,7 @@ def render_refinement_prompt(
     ``entities`` are ``{"name_and_description": str, "amount_appears": int}``.
     """
     payload = {
-        "existing_taxonomy": taxonomy_summary(taxonomy),
+        "existing_taxonomy": _taxonomy_fragment(taxonomy),
         "entities": list(entities),
         "output_format": {
             "decisions": [

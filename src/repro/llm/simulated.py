@@ -21,15 +21,17 @@ pipeline is reproducible.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.llm.base import ChatMessage, LLMClient, LLMResponse, UsageStats, estimate_tokens
 from repro.llm.errors import ErrorModel
 from repro.llm.knowledge import KeywordKnowledgeBase
 from repro.llm import prompts
 from repro.nlp.embeddings import SentenceEmbedder
-from repro.nlp.similarity import euclidean_distance
 from repro.taxonomy.builtin import load_builtin_taxonomy
 from repro.taxonomy.schema import DataTaxonomy, OTHER_CATEGORY, OTHER_TYPE
 
@@ -125,30 +127,48 @@ class SimulatedLLM(LLMClient):
                 allowed[str(category)] = [str(name) for name in types]
         return allowed
 
+    def _fewshot_labels(
+        self, descriptions: Sequence[str], examples: Sequence[Mapping[str, str]]
+    ) -> List[Optional[Tuple[str, str]]]:
+        """In-context learning: adopt a near-identical example's label.
+
+        Per description, the label of the first example at the smallest
+        embedding distance, or ``None`` beyond ``_FEWSHOT_ADOPTION_DISTANCE``.
+        Examples with empty text are skipped; blank descriptions adopt
+        nothing.  The pool is embedded once per prompt, and each distance is
+        the ``ddot`` that :func:`numpy.linalg.norm` takes of one difference
+        vector, so ties and the threshold resolve as a per-example loop would.
+        """
+        adopted: List[Optional[Tuple[str, str]]] = [None] * len(descriptions)
+        texts = [str(example.get("description", "")) for example in examples]
+        pool = [index for index, text in enumerate(texts) if text]
+        queries = [index for index, description in enumerate(descriptions) if description.strip()]
+        if not pool or not queries:
+            return adopted
+        vectors = self.embedder.embed_many(
+            [texts[index] for index in pool] + [descriptions[index] for index in queries]
+        )
+        pool_vectors = vectors[: len(pool)]
+        for index, query_vector in zip(queries, vectors[len(pool):]):
+            differences = query_vector - pool_vectors
+            distances = np.sqrt(np.vecdot(differences, differences))
+            nearest = int(np.argmin(distances))
+            if distances[nearest] <= _FEWSHOT_ADOPTION_DISTANCE:
+                example = examples[pool[nearest]]
+                adopted[index] = (
+                    str(example.get("category", "")),
+                    str(example.get("data_type", "")),
+                )
+        return adopted
+
     def _classify_one(
         self,
         description: str,
-        examples: Sequence[Mapping[str, str]],
+        adopted: Optional[Tuple[str, str]],
         allowed: Dict[str, List[str]],
         restrict_category: Optional[str] = None,
     ) -> Tuple[str, str]:
         """Classify one description to an allowed ``(category, type)`` pair."""
-        # In-context learning: adopt a near-identical example's label.
-        adopted: Optional[Tuple[str, str]] = None
-        if examples and description.strip():
-            query_vector = self.embedder.embed(description)
-            best_distance = float("inf")
-            for example in examples:
-                example_text = str(example.get("description", ""))
-                if not example_text:
-                    continue
-                distance = euclidean_distance(query_vector, self.embedder.embed(example_text))
-                if distance < best_distance:
-                    best_distance = distance
-                    adopted = (str(example.get("category", "")), str(example.get("data_type", "")))
-            if adopted is not None and best_distance > _FEWSHOT_ADOPTION_DISTANCE:
-                adopted = None
-
         category, data_type = (adopted if adopted else self.knowledge.classify(description))
 
         # Restrict to the payload taxonomy (the model may only answer from it).
@@ -188,41 +208,46 @@ class SimulatedLLM(LLMClient):
             )
         return category, data_type
 
-    def _handle_classify(self, payload: Mapping[str, object]) -> Dict[str, object]:
+    def _classify_entities(
+        self, payload: Mapping[str, object], restrict_category: Optional[str] = None
+    ) -> List[Tuple[str, str]]:
+        """Classify every entity of a classification payload, in order."""
         allowed = self._payload_taxonomy(payload)
+        descriptions = [
+            str(entity.get("name_and_description", ""))
+            for entity in payload.get("entities", [])  # type: ignore[union-attr]
+        ]
         examples = payload.get("examples", [])
-        entities = payload.get("entities", [])
-        classifications = []
-        for entity in entities:  # type: ignore[union-attr]
-            description = str(entity.get("name_and_description", ""))
-            category, data_type = self._classify_one(description, examples, allowed)
-            classifications.append({"category": category, "data_type": data_type})
-        return {"classifications": classifications}
+        adopted = self._fewshot_labels(descriptions, examples)  # type: ignore[arg-type]
+        return [
+            self._classify_one(description, label, allowed, restrict_category)
+            for description, label in zip(descriptions, adopted)
+        ]
+
+    def _handle_classify(self, payload: Mapping[str, object]) -> Dict[str, object]:
+        return {
+            "classifications": [
+                {"category": category, "data_type": data_type}
+                for category, data_type in self._classify_entities(payload)
+            ]
+        }
 
     def _handle_classify_category(self, payload: Mapping[str, object]) -> Dict[str, object]:
-        allowed = self._payload_taxonomy(payload)
-        examples = payload.get("examples", [])
-        entities = payload.get("entities", [])
-        classifications = []
-        for entity in entities:  # type: ignore[union-attr]
-            description = str(entity.get("name_and_description", ""))
-            category, _ = self._classify_one(description, examples, allowed)
-            classifications.append({"category": category, "data_type": ""})
-        return {"classifications": classifications}
+        return {
+            "classifications": [
+                {"category": category, "data_type": ""}
+                for category, _ in self._classify_entities(payload)
+            ]
+        }
 
     def _handle_classify_type(self, payload: Mapping[str, object]) -> Dict[str, object]:
-        allowed = self._payload_taxonomy(payload)
-        examples = payload.get("examples", [])
-        entities = payload.get("entities", [])
         category = str(payload.get("category", OTHER_CATEGORY))
-        classifications = []
-        for entity in entities:  # type: ignore[union-attr]
-            description = str(entity.get("name_and_description", ""))
-            _, data_type = self._classify_one(
-                description, examples, allowed, restrict_category=category
-            )
-            classifications.append({"category": category, "data_type": data_type})
-        return {"classifications": classifications}
+        return {
+            "classifications": [
+                {"category": category, "data_type": data_type}
+                for _, data_type in self._classify_entities(payload, restrict_category=category)
+            ]
+        }
 
     # ------------------------------------------------------------------
     # Taxonomy refinement (Code 4)
@@ -297,9 +322,10 @@ class SimulatedLLM(LLMClient):
             probe = self.knowledge.best_match(sentence)
             if probe is not None and data_type is not None and probe.data_type.key == data_type.key:
                 mentions_type = True
-        vague_hit = category in self.knowledge.vague_categories(sentence)
-        negation = self.knowledge.mentions_negation(sentence)
-        affirmative = self.knowledge.mentions_affirmative_collection(sentence)
+        facts = self.knowledge.sentence_facts(sentence)
+        vague_hit = category in facts.vague_categories
+        negation = facts.negation
+        affirmative = facts.affirmative
 
         if mentions_type:
             if negation and affirmative:
@@ -317,14 +343,12 @@ class SimulatedLLM(LLMClient):
             # Blanket denials ("we do not collect any personal data", "we
             # collect nothing") contradict the collection of any data type,
             # even ones outside the categories the denied umbrella covers.
-            from repro.nlp.tokenization import tokenize as _tokenize
-
-            tokens = set(_tokenize(sentence))
+            tokens = facts.tokens
             denies_broadly = (
                 ("any" in tokens and ("collect" in tokens or "store" in tokens or "data" in tokens))
                 or "no data" in sentence.lower()
                 or "nothing" in tokens
-                or bool(self.knowledge.vague_categories(sentence))
+                or bool(facts.vague_categories)
             )
             if denies_broadly:
                 return "INCORRECT"

@@ -235,7 +235,9 @@ class SentenceEmbedder:
 
         One scatter-add (``np.add.at``) over precomputed ``(row, column,
         weight)`` arrays builds the whole matrix; rows are then L2-normalized
-        in one vectorized pass.  Results match per-text :meth:`embed` exactly.
+        in one vectorized pass.  Each row's norm is the ``ddot`` that
+        :func:`numpy.linalg.norm` takes of a single vector, so rows equal
+        per-text :meth:`embed` bit for bit.
         """
         matrix = np.zeros((len(texts), self.dimensions), dtype=np.float64)
         if not texts:
@@ -253,7 +255,7 @@ class SentenceEmbedder:
                 ),
                 np.concatenate([values for _, values in arrays]),
             )
-        norms = np.linalg.norm(matrix, axis=1)
+        norms = np.sqrt(np.vecdot(matrix, matrix))
         nonzero = norms > 0
         matrix[nonzero] /= norms[nonzero, np.newaxis]
         return matrix

@@ -1,8 +1,16 @@
 """Tests for the disclosure analysis and the measurement suite."""
 
+import math
+import random
+
 import pytest
 
-from repro.analysis.disclosure import LABEL_ORDER, analyze_disclosure
+from repro.analysis.disclosure import (
+    LABEL_ORDER,
+    DisclosureAnalysis,
+    analyze_disclosure,
+    spearman_correlation,
+)
 from repro.policy.labels import ConsistencyLabel
 
 
@@ -130,3 +138,58 @@ class TestSuiteConfigValidate:
         # build time, not deep inside a crawl.
         with pytest.raises(ValueError, match="invalid SuiteConfig"):
             MeasurementSuite(config=config)
+
+
+class TestSpearmanCorrelation:
+    """The numpy Spearman that replaced ``scipy.stats.spearmanr``."""
+
+    @staticmethod
+    def _tied_samples(seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 60)
+        # Few distinct values per sample, so most ranks are ties.
+        items = [rng.randint(1, rng.randint(1, 6)) for _ in range(n)]
+        steps = rng.randint(1, 4)
+        consistency = [rng.randint(0, steps) / steps for _ in range(n)]
+        return items, consistency
+
+    def test_matches_scipy_on_tied_samples(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        compared = 0
+        for seed in range(300):
+            items, consistency = self._tied_samples(seed)
+            if len(set(items)) < 2 or len(set(consistency)) < 2:
+                continue
+            expected = float(scipy_stats.spearmanr(items, consistency)[0])
+            assert spearman_correlation(items, consistency) == pytest.approx(
+                expected, abs=1e-12
+            ), seed
+            compared += 1
+        assert compared > 200
+
+    def test_average_ranks_of_ties(self):
+        # Ranks of x: 1.5, 1.5, 3, 4.5, 4.5; of y: 1, 2, 3, 4, 5.
+        x = [1, 1, 2, 3, 3]
+        y = [1, 2, 3, 4, 5]
+        ranks = [1.5, 1.5, 3.0, 4.5, 4.5]
+        mean = sum(ranks) / len(ranks)
+        covariance = sum((a - mean) * (b - 3.0) for a, b in zip(ranks, y))
+        spread_x = sum((a - mean) ** 2 for a in ranks) ** 0.5
+        spread_y = sum((b - 3.0) ** 2 for b in y) ** 0.5
+        expected = covariance / (spread_x * spread_y)
+        assert spearman_correlation(x, y) == pytest.approx(expected, abs=1e-12)
+
+    def test_nan_for_constant_or_nan_samples(self):
+        assert math.isnan(spearman_correlation([2, 2, 2], [1, 2, 3]))
+        assert math.isnan(spearman_correlation([1, 2, float("nan")], [1, 2, 3]))
+
+    def test_early_returns(self):
+        analysis = DisclosureAnalysis()
+        analysis.consistency_vs_items = [(1, 0.5), (2, 1.0)]
+        assert analysis.spearman_consistency_vs_items() == 0.0
+        analysis.consistency_vs_items = [(3, 0.1), (3, 0.5), (3, 0.9)]
+        assert analysis.spearman_consistency_vs_items() == 0.0
+        analysis.consistency_vs_items = [(1, 0.5), (2, 0.5), (4, 0.5)]
+        assert analysis.spearman_consistency_vs_items() == 0.0
+        analysis.consistency_vs_items = [(1, 0.0), (2, 0.5), (4, 1.0)]
+        assert analysis.spearman_consistency_vs_items() == pytest.approx(1.0)

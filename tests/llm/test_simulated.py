@@ -1,12 +1,14 @@
 """Tests for the simulated LLM's task handlers."""
 
 import json
+import random
 
 import pytest
 
 from repro.llm import prompts
 from repro.llm.base import ChatMessage
 from repro.llm.simulated import SimulatedLLM
+from repro.nlp.similarity import euclidean_distance
 from repro.taxonomy.bootstrap import load_bootstrap_taxonomy
 from repro.taxonomy.builtin import load_builtin_taxonomy
 
@@ -95,6 +97,107 @@ class TestClassificationTask:
         )
         response = ask(llm, type_prompt)["classifications"][0]
         assert response == {"category": "Personal information", "data_type": "Email address"}
+
+
+def reference_adoption(llm, description, examples):
+    """The per-example few-shot loop that the distance-matrix path replaced."""
+    adopted = None
+    if examples and description.strip():
+        query_vector = llm.embedder.embed(description)
+        best_distance = float("inf")
+        for example in examples:
+            example_text = str(example.get("description", ""))
+            if not example_text:
+                continue
+            distance = euclidean_distance(query_vector, llm.embedder.embed(example_text))
+            if distance < best_distance:
+                best_distance = distance
+                adopted = (str(example.get("category", "")), str(example.get("data_type", "")))
+        if adopted is not None and best_distance > 0.55:
+            adopted = None
+    return adopted
+
+
+def classify_full(llm, taxonomy, descriptions, examples):
+    prompt = prompts.render_classification_prompt(
+        taxonomy,
+        [{"name_and_description": text, "examples": []} for text in descriptions],
+        examples,
+    )
+    return [
+        (label["category"], label["data_type"])
+        for label in ask(llm, prompt)["classifications"]
+    ]
+
+
+class TestFewShotAdoption:
+    """The distance-matrix adoption decides exactly as the per-example loop."""
+
+    def check_against_reference(self, llm, descriptions, examples):
+        adopted = llm._fewshot_labels(descriptions, examples)
+        assert adopted == [
+            reference_adoption(llm, description, examples) for description in descriptions
+        ]
+        return adopted
+
+    def test_duplicate_texts_first_label_wins(self, llm, taxonomy):
+        examples = [
+            {
+                "description": "email address of the user",
+                "category": "Location",
+                "data_type": "City",
+            },
+            {
+                "description": "email address of the user",
+                "category": "Personal information",
+                "data_type": "Email address",
+            },
+        ]
+        descriptions = ["email address of the user", "the email address of a user"]
+        adopted = self.check_against_reference(llm, descriptions, examples)
+        assert adopted[0] == ("Location", "City")
+        assert classify_full(llm, taxonomy, descriptions[:1], examples) == [("Location", "City")]
+
+    def test_empty_example_texts_are_skipped(self, llm):
+        examples = [
+            {"description": "", "category": "Location", "data_type": "City"},
+            {"description": "the city you live in", "category": "Location", "data_type": "City"},
+            {"category": "Query", "data_type": "Search query"},
+        ]
+        descriptions = ["the city you live in", "", "   ", "zzxqy unintelligible"]
+        adopted = self.check_against_reference(llm, descriptions, examples)
+        assert adopted == [("Location", "City"), None, None, None]
+        only_empty = [examples[0], examples[2]]
+        assert self.check_against_reference(llm, descriptions, only_empty) == [None] * 4
+        assert self.check_against_reference(llm, descriptions, []) == [None] * 4
+
+    def test_no_example_within_distance_falls_back_to_knowledge(self, llm, taxonomy):
+        examples = [
+            {
+                "description": "ticker symbol of the stock",
+                "category": "Market data",
+                "data_type": "Ticker symbol",
+            }
+        ]
+        descriptions = ["email address of the user", "the search query from the user"]
+        assert self.check_against_reference(llm, descriptions, examples) == [None, None]
+        assert classify_full(llm, taxonomy, descriptions, examples) == [
+            llm.knowledge.classify(description) for description in descriptions
+        ]
+
+    def test_seeded_pools_match_reference(self, llm, taxonomy):
+        phrases = [
+            phrasing for data_type in taxonomy.iter_types() for phrasing in data_type.phrasings[:2]
+        ] + [data_type.name for data_type in taxonomy.iter_types()]
+        rng = random.Random(13)
+        for _ in range(40):
+            pool = [
+                {"description": rng.choice(phrases + [""]), "category": "Q", "data_type": str(i)}
+                for i in range(rng.randint(0, 12))
+            ]
+            descriptions = [rng.choice(phrases) for _ in range(rng.randint(1, 8))]
+            descriptions += [example["description"] for example in pool[:2]]
+            self.check_against_reference(llm, descriptions, pool)
 
 
 class TestRefinementTask:

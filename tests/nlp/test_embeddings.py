@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nlp.embeddings import EmbeddingIndex, SentenceEmbedder
+from repro.taxonomy.builtin import load_builtin_taxonomy
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,21 @@ class TestBatchedEmbedding:
         ]
         batched = embedder.embed_many(texts)
         looped = np.vstack([embedder.embed(text) for text in texts])
-        assert np.allclose(batched, looped)
+        assert np.array_equal(batched, looped)
+
+    def test_embed_many_rows_equal_embed_on_taxonomy_phrasings(self):
+        # Few-shot adoption compares distances between rows of both paths,
+        # so equal-to-the-last-bit rows keep its ties and threshold exact.
+        texts = [
+            phrasing
+            for data_type in load_builtin_taxonomy().iter_types()
+            for phrasing in data_type.phrasings
+        ]
+        embedder = SentenceEmbedder()
+        batched = embedder.embed_many(texts)
+        assert len(texts) > 200
+        for row, text in zip(batched, texts):
+            assert np.array_equal(row, embedder.embed(text)), text
 
     def test_add_many_matches_incremental_adds(self):
         texts = ["alpha beta", "gamma delta", "epsilon zeta", "alpha beta"]
@@ -118,7 +133,7 @@ class TestBatchedEmbedding:
         for i, text in enumerate(texts):
             incremental.add(text, i)
         assert len(bulk) == len(incremental) == len(texts)
-        assert np.allclose(bulk.vectors, incremental.vectors)
+        assert np.array_equal(bulk.vectors, incremental.vectors)
 
     def test_query_many_matches_query(self):
         index = EmbeddingIndex()
@@ -170,7 +185,7 @@ def test_property_embed_many_identical_to_embed(texts):
     batched = embedder.embed_many(texts)
     assert batched.shape == (len(texts), 64)
     for row, text in zip(batched, texts):
-        assert np.allclose(row, embedder.embed(text))
+        assert np.array_equal(row, embedder.embed(text))
 
 
 def test_config_mutation_invalidates_text_cache():

@@ -34,10 +34,21 @@ GOLDEN_CASES = [
     ("report_150gpts_seed11.md", 150, 11),
 ]
 
+#: The simulated LLM's (calls, prompt tokens, completion tokens) per golden
+#: case.  Token counts follow the prompt bytes, which the report does not show.
+GOLDEN_LLM_USAGE = {
+    (120, 3): (87, 155322, 2358),
+    (150, 11): (105, 178372, 1935),
+}
+
 
 def _render(n_gpts: int, seed: int) -> str:
     suite = MeasurementSuite(config=SuiteConfig(n_gpts=n_gpts, seed=seed))
     results = run_all_experiments(suite)
+    usage = suite.llm.usage
+    assert (suite.llm.call_count, usage.prompt_tokens, usage.completion_tokens) == (
+        GOLDEN_LLM_USAGE[n_gpts, seed]
+    )
     return render_experiment_report(results, n_gpts, seed)
 
 
