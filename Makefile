@@ -28,10 +28,11 @@ COVERAGE_BASELINE ?= 90
 test:
 	$(PYTHON) -m pytest -x -q $(foreach bench,$(PERF_BENCHES),--ignore=$(bench))
 
-## process-backend smoke: re-run the tests marked `process_smoke` (backend
-## contract, warm WorkerPool lifecycle/broadcast/crash-replacement, sharded
-## crawl, sharded suite) with REPRO_TEST_BACKEND=process, so the
-## ProcessPoolExecutor path — including the persistent warm-pool path — is
+## process-backend smoke: re-run the tests marked `process_smoke` (the
+## execution contract on every backend name, WorkerPool lifecycle/broadcast/
+## crash-replacement, sharded crawl, sharded suite) with
+## REPRO_TEST_BACKEND=process, so the process kind of WorkerPool — a
+## persistent ProcessPoolExecutor with broadcast-once shared state — is
 ## exercised end to end by CI even where those tests' default configuration
 ## would pick threads.
 test-process:
@@ -75,9 +76,10 @@ perf-crawl:
 perf-sweep:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_sweep.py -q -s
 
-## perf-scale also runs the dispatch smoke (`dispatch_*` rows: warm-pool
-## vs cold-pool dispatch overhead + per-task pickle bytes under the
-## broadcast-once contract), so `make ci` gates pool amortization too.
+## perf-scale also runs the dispatch smoke (`dispatch_*` rows: one warm
+## WorkerPool vs a fresh pool per batch, and per-task pickle bytes under
+## the broadcast-once contract), so `make ci` gates pool amortization too,
+## and the process-vs-thread scaling row at min(4, cores) workers.
 perf-scale:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_scale.py -q -s
 

@@ -205,6 +205,34 @@ class PerfReport:
         return target
 
 
+def peak_rss_raw():
+    """This process's own peak RSS, in ``ru_maxrss`` units (KiB on Linux).
+
+    Reads ``VmHWM`` from ``/proc/self/status`` where available.  Unlike
+    ``getrusage().ru_maxrss`` — which Linux carries across ``fork``+``exec``
+    in ``signal->maxrss``, so a child process *starts* at whatever RSS
+    high-water mark its parent had ever reached — ``VmHWM`` belongs to the
+    process's own fresh ``mm`` and resets on exec.  Measuring the child
+    probes with ``ru_maxrss`` made their "import floor" track the
+    coordinating pytest process's historical peak (the recurring
+    141→321 MB baseline refresh artifacts previously attributed to
+    allocator/THP state).  Falls back to ``ru_maxrss`` off Linux; both are
+    KiB on Linux (``ru_maxrss`` is bytes on macOS).  Self-contained, so a
+    benchmark can embed its source in a child probe with
+    ``inspect.getsource``.
+    """
+    import resource
+
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _today() -> str:
     """Today's ISO date (the skip-history first-seen stamp)."""
     import datetime

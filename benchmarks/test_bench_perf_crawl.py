@@ -29,6 +29,7 @@ The measured numbers are printed as a compact table and persisted to
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -37,7 +38,7 @@ import time
 
 import pytest
 
-from perf_report import REPO_ROOT, PerfReport
+from perf_report import REPO_ROOT, PerfReport, peak_rss_raw
 
 from repro.crawler.hostile import install_hostile_hosts
 from repro.crawler.pipeline import CrawlPipeline
@@ -85,8 +86,8 @@ SHARDED_RSS_LIMIT_RATIO = 1.25
 #: compares two readings that share the same import floor, so it passes
 #: even when an allocator/THP artifact balloons both probes together —
 #: and committing such a run would let the perf gate's 1.5x tolerance
-#: ratchet the allowed RSS upward indefinitely.  Healthy runs of this
-#: module alone read ~89 MB for both probes; this bound must not be raised
+#: ratchet the allowed RSS upward indefinitely.  Healthy runs read
+#: ~67 MB (unsharded) and ~66 MB (sharded); this bound must not be raised
 #: by a baseline refresh without a root cause.
 CRAWL_RSS_ABS_LIMIT_MB = 512
 
@@ -251,18 +252,20 @@ def test_checkpointed_crawl_resumes_identically(ecosystem, tmp_path):
 
 # ---------------------------------------------------------------------------
 # Shard-partitioned crawl: wall time + peak RSS vs the unsharded crawl.
-# Both probes run as child processes so ``ru_maxrss`` measures each dataflow
-# in isolation (the unsharded probe must not inherit the sharded probe's
-# high-water mark, or vice versa).
+# Both probes run as child processes and read their own ``VmHWM``
+# (``peak_rss_raw``), so each measures its own dataflow: ``ru_maxrss``
+# would report the pytest process's peak, which Linux carries across
+# fork+exec.
 # ---------------------------------------------------------------------------
 _CHILD_CRAWL_COMMON = f"""
-import json, resource, tempfile, time
+import json, tempfile, time
 from repro.crawler.pipeline import CrawlPipeline
 from repro.crawler.transport import TransportConfig
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.web.urls import url_host
 
+{inspect.getsource(peak_rss_raw)}
 ecosystem = EcosystemGenerator(
     EcosystemConfig.paper_calibrated(n_gpts={CRAWL_GPTS}, seed={CRAWL_SEED})
 ).generate()
@@ -288,7 +291,7 @@ t0 = time.monotonic()
 corpus = pipeline.run()
 wall_s = time.monotonic() - t0
 print(json.dumps({
-    "rss_raw": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "rss_raw": peak_rss_raw(),
     "wall_s": wall_s,
     "n_gpts": len(corpus.gpts),
 }))
@@ -302,7 +305,7 @@ with tempfile.TemporaryDirectory() as root:
     wall_s = time.monotonic() - t0
     n_gpts = store.n_gpts
 print(json.dumps({{
-    "rss_raw": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "rss_raw": peak_rss_raw(),
     "wall_s": wall_s,
     "n_gpts": n_gpts,
 }}))

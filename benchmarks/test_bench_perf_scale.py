@@ -14,24 +14,26 @@ Measures the properties that make the sharded data layer safe to use at
 * ``peak_rss_mb_50k_vs_2000`` — peak RSS of a 50k-GPT *sharded* ingest +
   analysis run versus a 2000-GPT *unsharded* generate + crawl + analysis
   run, both measured as child processes via their own ``VmHWM`` peak
-  (``_peak_rss_raw`` — immune to the parent's inherited ``ru_maxrss``).  The
+  (``peak_rss_raw`` — immune to the parent's inherited ``ru_maxrss``).  The
   acceptance bound: the 50k sharded run stays under **2x** the 2000
   unsharded run's peak.  (This record's "timings" are megabytes, which also
   turns the CI perf gate into a memory-regression gate for the ingest
   path.)
 * ``stream_50k_process_vs_thread`` — the 50k shard map on the process
-  backend versus the thread backend at the same worker count.  Pure-Python
-  accumulation is GIL-bound on threads, so this is where the process pool
-  must show real CPU scaling: the gate is ``MIN_PROCESS_SPEEDUP``× at
-  ``WORKERS`` workers.  Skipped with a notice on machines with fewer than
-  ``MIN_PROCESS_CORES`` cores, where there is no parallelism to measure —
-  the skip is recorded via ``PerfReport.note_skipped`` so ``perf_report.py
+  backend versus the thread backend at the same worker count,
+  ``min(WORKERS, cores)``.  Pure-Python accumulation is GIL-bound on
+  threads, so this is where the process pool must show real CPU scaling:
+  the gate is ``MIN_PROCESS_SPEEDUP``× on a runner with at least
+  ``MIN_PROCESS_CORES`` cores, and "processes never lose to threads"
+  (≥``MIN_PROCESS_SPEEDUP_FEW_CORES``×) below that.  Skipped with a notice
+  only on a 1-core machine, where there is no parallelism to measure — the
+  skip is recorded via ``PerfReport.note_skipped`` so ``perf_report.py
   --check`` reports the gated-but-uncommitted row as MISSING instead of
   passing silently.
 * ``dispatch_warm_vs_cold_pool`` — many small batches (``DISPATCH_STAGES``
   stages × ``DISPATCH_SHARDS`` tasks, the shape of a sharded crawl's
-  resolve → policy phases) on a cold ``ProcessBackend`` per stage versus
-  one warm ``WorkerPool`` reused across all stages.  The timing row is
+  resolve → policy phases) on a fresh process ``WorkerPool`` per stage
+  versus one warm ``WorkerPool`` reused across all stages.  The timing row is
   recorded on every runner (pool-spawn amortization is measurable at any
   core count); the ≥``MIN_DISPATCH_SPEEDUP``× assertion is skipped with a
   notice under ``MIN_PROCESS_CORES`` cores.  Results must be identical
@@ -48,11 +50,12 @@ Measures the properties that make the sharded data layer safe to use at
   ≤``MAX_CLASSIFY_WALL_RATIO``× materialize-then-classify, with
   byte-identical labels.
 * ``dispatch_pickle_kb_per_task`` — bytes pickled per sharded-crawl task:
-  the cold path's ``(ShardCrawlSpec, stage, shard, keys)`` payload (the
-  whole ecosystem, per task) versus the warm path's broadcast-once
-  ``(stage, shard, keys)`` reference.  Units are KiB, not seconds (like
-  the RSS row, this turns the perf gate into a payload-size gate); the
-  broadcast contract must shrink per-task pickles ≥``MIN_PICKLE_SHRINK``×.
+  a ``(ShardCrawlSpec, stage, shard, keys)`` payload, which would ship the
+  whole ecosystem with every task, versus the ``(stage, shard, keys)``
+  payload the pool actually sends once the spec has been broadcast.  Units
+  are KiB, not seconds (like the RSS row, this turns the perf gate into a
+  payload-size gate); the broadcast contract must shrink per-task pickles
+  ≥``MIN_PICKLE_SHRINK``×.
 
 Both child probes share an import-time RSS floor (numpy and networkx,
 ~52 MB) that dominates their peak readings, so the 2x ratio alone cannot
@@ -83,7 +86,7 @@ from pathlib import Path
 
 import pytest
 
-from perf_report import REPO_ROOT, PerfReport, prior_key_order
+from perf_report import REPO_ROOT, PerfReport, peak_rss_raw, prior_key_order
 
 from repro.analysis import (
     analyze_cooccurrence,
@@ -112,9 +115,13 @@ WORKERS = 4
 CHILD_REPEATS = 3
 
 #: Required speedup of the process backend over the thread backend on the
-#: 50k pure-Python shard map, and the core count below which the comparison
-#: is meaningless (no parallelism to win back from the GIL).
+#: 50k pure-Python shard map at ``min(WORKERS, cores)`` workers: the full
+#: gate on a runner with at least ``MIN_PROCESS_CORES`` cores, and "never
+#: loses to threads" on fewer (2-3 cores leave less parallelism to win back
+#: from the GIL).  ``MIN_PROCESS_CORES`` also gates the warm-pool
+#: amortization assertion below.
 MIN_PROCESS_SPEEDUP = 1.5
+MIN_PROCESS_SPEEDUP_FEW_CORES = 1.0
 MIN_PROCESS_CORES = 4
 
 #: Shape of the warm-vs-cold dispatch benchmark — a sharded crawl's worth
@@ -166,32 +173,6 @@ def _single_pass(corpus):
         "multi_action": analyze_multi_action(corpus),
         "cooccurrence": analyze_cooccurrence(corpus),
     }
-
-
-def _peak_rss_raw():
-    """This process's own peak RSS, in ``ru_maxrss`` units (KiB on Linux).
-
-    Reads ``VmHWM`` from ``/proc/self/status`` where available.  Unlike
-    ``getrusage().ru_maxrss`` — which Linux carries across ``fork``+``exec``
-    in ``signal->maxrss``, so a child process *starts* at whatever RSS
-    high-water mark its parent had ever reached — ``VmHWM`` belongs to the
-    process's own fresh ``mm`` and resets on exec.  Measuring the child
-    probes with ``ru_maxrss`` made their "import floor" track the
-    coordinating pytest process's historical peak (the recurring
-    141→321 MB baseline refresh artifacts previously attributed to
-    allocator/THP state).  Falls back to ``ru_maxrss`` off Linux; both are
-    KiB on Linux, and ``_MAXRSS_PER_MB`` handles macOS's bytes.
-    """
-    import resource
-
-    try:
-        with open("/proc/self/status", encoding="ascii") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def _dispatch_probe(stage, index):
@@ -246,8 +227,8 @@ from repro.crawler.pipeline import CrawlPipeline
 from repro.analysis import (analyze_crawl_stats, analyze_tool_usage,
     analyze_multi_action, analyze_cooccurrence, build_party_index)
 
-{inspect.getsource(_peak_rss_raw)}
-rss_import_raw = _peak_rss_raw()
+{inspect.getsource(peak_rss_raw)}
+rss_import_raw = peak_rss_raw()
 
 {inspect.getsource(_single_pass)}
 ecosystem = EcosystemGenerator(
@@ -256,7 +237,7 @@ ecosystem = EcosystemGenerator(
 corpus = CrawlPipeline.from_ecosystem(ecosystem, seed={SEED}).run()
 results = _single_pass(corpus)
 print(json.dumps({{
-    "rss_raw": _peak_rss_raw(),
+    "rss_raw": peak_rss_raw(),
     "rss_import_raw": rss_import_raw,
     "wall_s": time.monotonic() - t0,
     "n_gpts": results["crawl_stats"].total_unique_gpts,
@@ -272,8 +253,8 @@ from repro.analysis import (analyze_crawl_stats, analyze_tool_usage,
     analyze_multi_action, analyze_cooccurrence, build_party_index)
 from repro.io import canonical_json
 
-{inspect.getsource(_peak_rss_raw)}
-rss_import_raw = _peak_rss_raw()
+{inspect.getsource(peak_rss_raw)}
+rss_import_raw = peak_rss_raw()
 
 {inspect.getsource(_single_pass)}
 {inspect.getsource(_best)}
@@ -311,7 +292,7 @@ with tempfile.TemporaryDirectory() as root:
     # Peak RSS of the *sharded* phase: sampled before the single-pass
     # baseline below materializes the whole 50k corpus (the high-water
     # mark covers the whole process lifetime).
-    rss_sharded_raw = _peak_rss_raw()
+    rss_sharded_raw = peak_rss_raw()
 
     single_s, single = _best(
         lambda: _single_pass(store.load_corpus()), repeats={CHILD_REPEATS}
@@ -320,7 +301,7 @@ with tempfile.TemporaryDirectory() as root:
 print(json.dumps({{
     "rss_raw": rss_sharded_raw,
     "rss_import_raw": rss_import_raw,
-    "rss_with_materialize_raw": _peak_rss_raw(),
+    "rss_with_materialize_raw": peak_rss_raw(),
     "ingest_s": ingest_s,
     "stream_s": stream_s,
     "single_s": single_s,
@@ -339,8 +320,8 @@ from repro.classification.classifier import ClassifierConfig
 from repro.llm.simulated import SimulatedLLM
 from repro.taxonomy.builtin import load_builtin_taxonomy
 
-{inspect.getsource(_peak_rss_raw)}
-rss_import_raw = _peak_rss_raw()
+{inspect.getsource(peak_rss_raw)}
+rss_import_raw = peak_rss_raw()
 
 with tempfile.TemporaryDirectory() as root:
     t0 = time.monotonic()
@@ -354,7 +335,7 @@ with tempfile.TemporaryDirectory() as root:
     # Crawl-only peak, sampled before classification in the SAME process:
     # the import floor is shared, so mixed/crawl isolates what the
     # classification stage adds.
-    rss_crawl_raw = _peak_rss_raw()
+    rss_crawl_raw = peak_rss_raw()
 
     taxonomy = load_builtin_taxonomy()
     llm = SimulatedLLM(knowledge_taxonomy=taxonomy, seed={SEED})
@@ -374,7 +355,7 @@ with tempfile.TemporaryDirectory() as root:
 
 print(json.dumps({{
     "rss_crawl_raw": rss_crawl_raw,
-    "rss_mixed_raw": _peak_rss_raw(),
+    "rss_mixed_raw": peak_rss_raw(),
     "rss_import_raw": rss_import_raw,
     "ingest_s": ingest_s,
     "classify_s": classify_s,
@@ -458,20 +439,19 @@ def test_stress_scale_process_backend_scales(tmp_path):
     """At 50k GPTs, the process backend beats the GIL-bound thread pool on
     the pure-Python shard map (the ROADMAP's CPU-scaling item)."""
     cores = os.cpu_count() or 1
-    if cores < MIN_PROCESS_CORES:
+    if cores < 2:
         # Register the skip in the artifact before bailing: the module
         # teardown still writes BENCH_scale.json, and perf_report --check
         # turns a gated-away metric with no committed row into a MISSING
         # notice instead of silence.
         REPORT.note_skipped(
-            "stream_50k_process_vs_thread",
-            f"needs >= {MIN_PROCESS_CORES} cores (this runner has {cores})",
+            "stream_50k_process_vs_thread", "needs >= 2 cores (this runner has 1)"
         )
-        pytest.skip(
-            f"process-vs-thread scaling needs >= {MIN_PROCESS_CORES} cores "
-            f"(this runner has {cores}); skipping the CPU-scaling gate"
-        )
+        pytest.skip("process-vs-thread scaling needs >= 2 cores (this runner has 1)")
     from repro.ecosystem.generator import generate_sharded_corpus
+
+    workers = min(WORKERS, cores)
+    required = MIN_PROCESS_SPEEDUP if cores >= MIN_PROCESS_CORES else MIN_PROCESS_SPEEDUP_FEW_CORES
 
     store = generate_sharded_corpus(
         tmp_path / "shards50k",
@@ -480,11 +460,11 @@ def test_stress_scale_process_backend_scales(tmp_path):
         flush_every=500,
     )
     thread_s, threaded = _best(
-        lambda: analyze_shards(store, names=_ANALYSES, workers=WORKERS, backend="thread"),
+        lambda: analyze_shards(store, names=_ANALYSES, workers=workers, backend="thread"),
         repeats=CHILD_REPEATS,
     )
     process_s, processed = _best(
-        lambda: analyze_shards(store, names=_ANALYSES, workers=WORKERS, backend="process"),
+        lambda: analyze_shards(store, names=_ANALYSES, workers=workers, backend="process"),
         repeats=CHILD_REPEATS,
     )
     # Identical results on both backends — the invariant that makes the
@@ -505,9 +485,9 @@ def test_stress_scale_process_backend_scales(tmp_path):
         items=STRESS_GPTS,
     )
     INVARIANTS["process_backend_speedup_50k"] = round(entry.speedup, 3)
-    assert entry.speedup >= MIN_PROCESS_SPEEDUP, (
+    assert entry.speedup >= required, (
         f"process backend only {entry.speedup:.2f}x vs threads on the 50k "
-        f"shard map at {WORKERS} workers (needs {MIN_PROCESS_SPEEDUP}x)"
+        f"shard map at {workers} workers on {cores} cores (needs {required}x)"
     )
 
 
@@ -589,9 +569,9 @@ def test_paper_scale_classify_stream_vs_materialize(tmp_path, paper_ecosystem):
 
 def test_dispatch_warm_vs_cold_pool():
     """One warm :class:`WorkerPool` reused across many small batches beats a
-    cold :class:`ProcessBackend` (fresh pool per batch) on dispatch overhead,
-    with byte-identical results — reuse is an execution knob."""
-    from repro.exec import ExecTask, ProcessBackend, WorkerPool
+    fresh process pool per batch on dispatch overhead, with byte-identical
+    results — reuse is an execution knob."""
+    from repro.exec import ExecTask, WorkerPool
 
     def batch(stage):
         return [
@@ -607,7 +587,8 @@ def test_dispatch_warm_vs_cold_pool():
     def cold():
         results = []
         for stage in range(DISPATCH_STAGES):
-            outcomes = ProcessBackend(workers=DISPATCH_WORKERS).run(batch(stage))
+            with WorkerPool(kind="process", workers=DISPATCH_WORKERS) as pool:
+                outcomes = pool.run(batch(stage))
             results.extend(outcome.result for outcome in outcomes)
         return results
 
@@ -662,9 +643,9 @@ def test_dispatch_pickle_bytes_per_task(paper_ecosystem):
     spec = pipeline._shard_crawl_spec()
     keys = sorted(paper_ecosystem.gpts)[: PAPER_GPTS // DISPATCH_SHARDS]
 
-    # The exact args tuples _run_shard_phase puts on the wire: the cold
-    # ProcessBackend path ships (spec, stage, shard, keys) per task; the
-    # warm-pool path broadcasts the spec once and ships (stage, shard, keys).
+    # Shipping the spec with every task would pickle (spec, stage, shard,
+    # keys); _run_shard_phase broadcasts the spec once and puts only
+    # (stage, shard, keys) on the wire.
     fat_bytes = len(pickle.dumps((spec, "resolve", 0, keys)))
     lean_bytes = len(pickle.dumps(("resolve", 0, keys)))
 

@@ -8,8 +8,8 @@ policy analyses, the whole
 :class:`~repro.io.shards.ShardedCorpusStore` instead, and this module runs
 the same measurements as a **map-reduce** over its shards:
 
-* **GPT-record map** — one task per GPT shard, scheduled on a pluggable
-  execution backend (:mod:`repro.exec`), streams the shard's GPT records
+* **GPT-record map** — one task per GPT shard, scheduled on a
+  :class:`~repro.exec.WorkerPool`, streams the shard's GPT records
   through a fresh set of accumulator objects (``CrawlStatsAccumulator``,
   ``ToolUsageAccumulator``, …, plus an :class:`ActionCatalogAccumulator`
   when the policy analyses need the Action → policy-URL join), holding one
@@ -28,9 +28,9 @@ the same measurements as a **map-reduce** over its shards:
   materializing the corpus;
 * **classification map** — the global description list is classified in
   batch-aligned chunks (:data:`CLASSIFY_CHUNK_BATCHES`); the classifier's
-  fixed inputs (taxonomy, LLM, few-shot store, config) are broadcast once
-  on a warm process pool, and chunk labels concatenate in submission order
-  to the byte-identical ``classify_many`` result;
+  fixed inputs (taxonomy, LLM, few-shot store, config) are broadcast to
+  the pool once, and chunk labels concatenate in submission order to the
+  byte-identical ``classify_many`` result;
 * **reduce** — shard partials merge (``accumulator.merge``), near-duplicate
   LSH candidates band over the *union* of the shard signatures and get
   exact-verified against only the candidate texts, and everything is
@@ -40,9 +40,10 @@ the same measurements as a **map-reduce** over its shards:
 Because every ``finalize`` is order-canonical and the map tasks are pure
 per-shard folds, the output is **byte-identical** to running the in-memory
 analyzers on the materialized corpus — at any shard count, worker count, or
-backend (serial, thread, or process; map tasks and their accumulators are
-picklable module-level payloads, so pure-Python accumulation scales across
-cores instead of serializing on the GIL).  That invariant is what lets the
+backend (serial, thread, or process; map tasks are module-level functions
+that read their pass's inputs from the pool's broadcast state, and their
+accumulators pickle, so pure-Python accumulation scales across cores
+instead of serializing on the GIL).  That invariant is what lets the
 measurement suite switch freely between the in-memory and sharded paths,
 and it is asserted by ``tests/analysis/test_streaming.py`` and the
 determinism matrix.
@@ -65,8 +66,7 @@ from repro.analysis.tools import ToolUsageAccumulator
 from repro.classification.descriptions import DataDescription
 from repro.classification.results import ClassificationResult, DescriptionLabel
 from repro.crawler.corpus import CrawledGPT
-from repro.crawler.engine import CrawlEngine, CrawlTask
-from repro.exec import ExecutionBackend, WorkerPool, resolve_pool, shared_state
+from repro.exec import ExecTask, WorkerPool, make_pool, shared_state
 from repro.io.shards import ShardedCorpusStore, shard_index
 from repro.policy.duplicates import (
     PolicyProfileAccumulator,
@@ -168,22 +168,26 @@ def _accumulator_factories(
     return factories
 
 
-def _map_gpt_shard(
-    root: str,
-    index: int,
-    names: Tuple[str, ...],
-    collected: Optional[Mapping[str, List[Tuple[str, str]]]],
-    offending: Optional[Mapping[str, List[Tuple[str, str]]]],
-    include_party: bool = True,
-) -> Dict[str, object]:
+#: Broadcast keys for the three map passes' shared inputs (see
+#: :class:`~repro.exec.WorkerPool`): tasks carry only their shard index or
+#: description chunk.
+STREAM_GPT_KEY = "stream/gpt-pass"
+STREAM_POLICY_KEY = "stream/policy-pass"
+STREAM_CLASSIFY_KEY = "stream/classify-pass"
+
+
+def _map_gpt_shard(index: int) -> Dict[str, object]:
     """Fold one GPT shard's record stream through fresh accumulators.
 
-    Module-level with plain-data arguments so the task (and its returned
-    accumulators) pickle cleanly onto the process backend; thread and serial
-    backends call it in-process with zero copies.
+    The pass's inputs (store root, analysis names, classification rollups)
+    are the :data:`STREAM_GPT_KEY` broadcast; the returned accumulators
+    pickle, so the task runs the same in a process worker as in-process.
     """
-    store = ShardedCorpusStore(root)
-    factories = _accumulator_factories(names, collected, offending, include_party)
+    spec = shared_state(STREAM_GPT_KEY)
+    store = ShardedCorpusStore(spec["root"])
+    factories = _accumulator_factories(
+        spec["names"], spec["collected"], spec["offending"], spec["include_party"]
+    )
     accumulators = {name: factory() for name, factory in factories.items()}
     for gpt in store.iter_shard_gpts(index):
         for accumulator in accumulators.values():
@@ -191,23 +195,21 @@ def _map_gpt_shard(
     return accumulators
 
 
-def _map_policy_shard(
-    root: str,
-    index: int,
-    want_duplicates: bool,
-    disclosure_spec: Optional[Dict[str, object]],
-) -> Dict[str, object]:
+def _map_policy_shard(index: int) -> Dict[str, object]:
     """Fold one policy shard: duplicate profiles and/or disclosure analyses.
 
-    ``disclosure_spec`` carries the shard's slice of the URL → Actions join
+    The :data:`STREAM_POLICY_KEY` broadcast carries, per shard, a
+    disclosure spec: the shard's slice of the URL → Actions join
     (``url_actions``: url → [(action id, collected types, title)]) plus the
-    policy framework's inputs (taxonomy, LLM, single-pass flag); the
+    policy framework's inputs (taxonomy, LLM, single-pass flag).  The
     framework runs per document and its per-Action outcomes fold straight
     into a :class:`DisclosureAccumulator` — no policy report is built.
     """
-    store = ShardedCorpusStore(root)
+    spec = shared_state(STREAM_POLICY_KEY)
+    store = ShardedCorpusStore(spec["root"])
+    disclosure_spec = spec["disclosure_specs"][index] if spec["disclosure_specs"] else None
     out: Dict[str, object] = {}
-    duplicates = PolicyProfileAccumulator() if want_duplicates else None
+    duplicates = PolicyProfileAccumulator() if spec["want_duplicates"] else None
     disclosure = None
     analyzer = None
     url_actions: Mapping[str, Sequence] = {}
@@ -242,37 +244,6 @@ def _map_policy_shard(
     return out
 
 
-#: Broadcast keys for the two shared map-pass payloads (see
-#: :class:`~repro.exec.WorkerPool`): tasks carry only their shard index.
-STREAM_GPT_KEY = "stream/gpt-pass"
-STREAM_POLICY_KEY = "stream/policy-pass"
-
-
-def _map_gpt_shard_shared(index: int) -> Dict[str, object]:
-    """Warm-pool GPT map task: everything but the shard index is broadcast."""
-    spec = shared_state(STREAM_GPT_KEY)
-    return _map_gpt_shard(
-        spec["root"],
-        index,
-        spec["names"],
-        spec["collected"],
-        spec["offending"],
-        spec["include_party"],
-    )
-
-
-def _map_policy_shard_shared(index: int) -> Dict[str, object]:
-    """Warm-pool policy map task: the per-shard spec slice is broadcast."""
-    spec = shared_state(STREAM_POLICY_KEY)
-    disclosure_specs = spec["disclosure_specs"]
-    return _map_policy_shard(
-        spec["root"],
-        index,
-        spec["want_duplicates"],
-        disclosure_specs[index] if disclosure_specs else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Shard-partitioned classification
 # ---------------------------------------------------------------------------
@@ -282,10 +253,6 @@ def _map_policy_shard_shared(index: int) -> Dict[str, object]:
 #: per batch — is identical to one global ``classify_many`` call at any
 #: chunk count, worker count, or backend.
 CLASSIFY_CHUNK_BATCHES = 8
-
-#: Broadcast key for the shared classifier inputs (taxonomy, LLM, few-shot
-#: store, config): classification tasks carry only their description chunk.
-STREAM_CLASSIFY_KEY = "stream/classify-pass"
 
 
 def _map_extract_shard(root: str, index: int) -> List[Tuple[int, int, str, List[Tuple[str, str]]]]:
@@ -315,18 +282,18 @@ def _map_extract_shard(root: str, index: int) -> List[Tuple[int, int, str, List[
     return rows
 
 
-def _classify_chunk(
-    spec: Mapping[str, object], chunk: Sequence[DataDescription]
-) -> List[DescriptionLabel]:
+def _classify_chunk(chunk: Sequence[DataDescription]) -> List[DescriptionLabel]:
     """Classify one batch-aligned chunk of the global description list.
 
     The classifier's only inputs besides the chunk are fixed shared state
-    (taxonomy, LLM, few-shot store, config) and every simulated-LLM
-    decision is a pure function of its prompt, so chunk results concatenate
-    to the byte-identical global classification.
+    (the :data:`STREAM_CLASSIFY_KEY` broadcast: taxonomy, LLM, few-shot
+    store, config) and every simulated-LLM decision is a pure function of
+    its prompt, so chunk results concatenate to the byte-identical global
+    classification.
     """
     from repro.classification.classifier import DataCollectionClassifier
 
+    spec = shared_state(STREAM_CLASSIFY_KEY)
     classifier = DataCollectionClassifier(
         taxonomy=spec["taxonomy"],
         llm=spec["llm"],
@@ -336,13 +303,8 @@ def _classify_chunk(
     return classifier.classify_many(list(chunk)).labels
 
 
-def _classify_chunk_shared(chunk: Sequence[DataDescription]) -> List[DescriptionLabel]:
-    """Warm-pool classification task: the classifier inputs are broadcast."""
-    return _classify_chunk(shared_state(STREAM_CLASSIFY_KEY), chunk)
-
-
 class ShardAnalysisRunner:
-    """Runs streaming analyses shard-parallel on an execution backend.
+    """Runs streaming analyses shard-parallel on a :class:`~repro.exec.WorkerPool`.
 
     Parameters
     ----------
@@ -352,38 +314,38 @@ class ShardAnalysisRunner:
         Worker-pool size for shard tasks (``<= 1`` streams shards
         sequentially).  Results are identical at any worker count.
     backend:
-        ``"serial"`` / ``"thread"`` / ``"process"``, a backend instance, or
-        ``None`` (serial at ``workers <= 1``, threads above).  The process
-        backend gives pure-Python accumulation real CPU scaling; results
-        are identical on every backend.  ``"process"`` builds an **owned**
-        warm :class:`~repro.exec.WorkerPool` (close the runner, or use it
-        as a context manager, to release the workers); passing a
-        ``WorkerPool``/``PoolHandle`` instance reuses the caller's warm
-        workers across analysis passes.  On a warm pool the map-pass
-        payloads (classification rollups, the URL → Actions join) are
-        broadcast via the pool initializer, so per-task pickles carry a
-        shard index instead of the rollups; a pass whose payload changed
-        restarts the pool once rather than re-shipping per task.
+        ``"serial"`` / ``"thread"`` / ``"process"``, a borrowed
+        ``WorkerPool``, or ``None`` (serial at ``workers <= 1``, threads
+        above).  The process kind gives pure-Python accumulation real CPU
+        scaling; results are identical on every backend.  A name builds a
+        pool for the runner (close the runner, or use it as a context
+        manager, to release a process pool's workers; a closed process
+        runner cannot run again); a ``WorkerPool`` reuses the
+        caller's warm workers across analysis passes and is never closed
+        here.  Each map pass broadcasts its inputs (classification
+        rollups, the URL → Actions join, the classifier) to the pool, so
+        per-task pickles carry a shard index instead; on a process pool a
+        pass whose payload changed restarts the workers once rather than
+        re-shipping per task.
     """
 
     def __init__(
         self,
         store: ShardedCorpusStore,
         workers: int = 0,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: Union[str, WorkerPool, None] = None,
     ) -> None:
         self.store = store
         self.workers = workers
         self._owned_pool: Optional[WorkerPool] = None
-        if backend == "process":
-            self._owned_pool = WorkerPool(kind="process", workers=max(1, workers))
-            backend = self._owned_pool
-        self.engine = CrawlEngine(workers=workers, backend=backend)
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The warm pool behind the engine's backend, if any."""
-        return resolve_pool(self.engine.backend)
+        if isinstance(backend, WorkerPool):
+            self.pool = backend
+        else:
+            # Only a process pool holds workers to release; a thread pool
+            # holds nothing between runs, so close() leaves it usable.
+            self.pool = make_pool(backend, workers)
+            if self.pool.is_process:
+                self._owned_pool = self.pool
 
     def close(self) -> None:
         """Release the owned warm pool (idempotent; borrowed pools stay up)."""
@@ -398,10 +360,10 @@ class ShardAnalysisRunner:
         self.close()
 
     # ------------------------------------------------------------------
-    def _run_merge(self, tasks: List[CrawlTask]) -> Dict[str, object]:
+    def _run_merge(self, tasks: List[ExecTask]) -> Dict[str, object]:
         """Run shard map tasks and merge partials in shard order."""
         merged: Dict[str, object] = {}
-        for outcome in self.engine.run(tasks):
+        for outcome in self.pool.run(tasks):
             if not outcome.ok:
                 raise RuntimeError(f"shard analysis {outcome.key!r} failed: {outcome.error}")
             # Reduce: merge shard partials in shard (submission) order.
@@ -423,7 +385,7 @@ class ShardAnalysisRunner:
         materializing it.
         """
         tasks = [
-            CrawlTask(
+            ExecTask(
                 key=f"extract-{index:05d}",
                 fn=_map_extract_shard,
                 args=(str(self.store.root), index),
@@ -431,7 +393,7 @@ class ShardAnalysisRunner:
             for index in range(self.store.n_shards)
         ]
         best: Dict[str, Tuple[Tuple[int, int], List[Tuple[str, str]]]] = {}
-        for outcome in self.engine.run(tasks):
+        for outcome in self.pool.run(tasks):
             if not outcome.ok:
                 raise RuntimeError(
                     f"description extraction {outcome.key!r} failed: {outcome.error}"
@@ -463,7 +425,7 @@ class ShardAnalysisRunner:
         ``CLASSIFY_CHUNK_BATCHES`` classifier batches and classified as map
         tasks; chunk labels concatenate in submission order.  Because chunk
         boundaries are batch boundaries and the classifier inputs are fixed
-        shared state (broadcast once on a warm process pool), the result is
+        shared state (broadcast to the pool once), the result is
         byte-identical to ``classify_many`` over the whole list — at any
         backend, worker count, or shard count.
         """
@@ -477,29 +439,20 @@ class ShardAnalysisRunner:
             list(descriptions[start : start + chunk_size])
             for start in range(0, len(descriptions), chunk_size)
         ]
-        spec = {
-            "taxonomy": taxonomy,
-            "llm": llm,
-            "fewshot_store": fewshot_store,
-            "config": config,
-        }
-        pool = self.pool
-        if pool is not None and pool.is_process:
-            pool.broadcast(STREAM_CLASSIFY_KEY, spec)
-            tasks = [
-                CrawlTask(
-                    key=f"classify-{index:05d}", fn=_classify_chunk_shared, args=(chunk,)
-                )
-                for index, chunk in enumerate(chunks)
-            ]
-        else:
-            tasks = [
-                CrawlTask(
-                    key=f"classify-{index:05d}", fn=_classify_chunk, args=(spec, chunk)
-                )
-                for index, chunk in enumerate(chunks)
-            ]
-        for outcome in self.engine.run(tasks):
+        self.pool.broadcast(
+            STREAM_CLASSIFY_KEY,
+            {
+                "taxonomy": taxonomy,
+                "llm": llm,
+                "fewshot_store": fewshot_store,
+                "config": config,
+            },
+        )
+        tasks = [
+            ExecTask(key=f"classify-{index:05d}", fn=_classify_chunk, args=(chunk,))
+            for index, chunk in enumerate(chunks)
+        ]
+        for outcome in self.pool.run(tasks):
             if not outcome.ok:
                 raise RuntimeError(
                     f"classification chunk {outcome.key!r} failed: {outcome.error}"
@@ -575,47 +528,25 @@ class ShardAnalysisRunner:
                 offending = find_offending_actions(classification, taxonomy)
         include_party = party_index is None
 
-        # GPT-record map: one task per shard, fanned out on the backend.
-        pool = self.pool
-        use_broadcast = pool is not None and pool.is_process
+        # GPT-record map: one task per shard, fanned out on the pool.
         merged: Dict[str, object] = {}
         if _accumulator_factories(factory_names, collected, offending, include_party):
-            if use_broadcast:
-                pool.broadcast(
-                    STREAM_GPT_KEY,
-                    {
-                        "root": str(self.store.root),
-                        "names": tuple(factory_names),
-                        "collected": collected,
-                        "offending": offending,
-                        "include_party": include_party,
-                    },
-                )
-                tasks = [
-                    CrawlTask(
-                        key=f"shard-{index:05d}",
-                        fn=_map_gpt_shard_shared,
-                        args=(index,),
-                    )
+            self.pool.broadcast(
+                STREAM_GPT_KEY,
+                {
+                    "root": str(self.store.root),
+                    "names": tuple(factory_names),
+                    "collected": collected,
+                    "offending": offending,
+                    "include_party": include_party,
+                },
+            )
+            merged = self._run_merge(
+                [
+                    ExecTask(key=f"shard-{index:05d}", fn=_map_gpt_shard, args=(index,))
                     for index in range(self.store.n_shards)
                 ]
-            else:
-                tasks = [
-                    CrawlTask(
-                        key=f"shard-{index:05d}",
-                        fn=_map_gpt_shard,
-                        args=(
-                            str(self.store.root),
-                            index,
-                            tuple(factory_names),
-                            collected,
-                            offending,
-                            include_party,
-                        ),
-                    )
-                    for index in range(self.store.n_shards)
-                ]
-            merged = self._run_merge(tasks)
+            )
         catalog: Optional[ActionCatalogAccumulator] = (
             merged.pop("action_catalog", None) or action_catalog
         )
@@ -647,38 +578,24 @@ class ShardAnalysisRunner:
                     }
                     for index in range(self.store.n_shards)
                 ]
-            if use_broadcast:
-                pool.broadcast(
-                    STREAM_POLICY_KEY,
-                    {
-                        "root": str(self.store.root),
-                        "want_duplicates": "policy_duplicates" in policy_names,
-                        "disclosure_specs": disclosure_specs,
-                    },
+            self.pool.broadcast(
+                STREAM_POLICY_KEY,
+                {
+                    "root": str(self.store.root),
+                    "want_duplicates": "policy_duplicates" in policy_names,
+                    "disclosure_specs": disclosure_specs,
+                },
+            )
+            merged.update(
+                self._run_merge(
+                    [
+                        ExecTask(
+                            key=f"policies-{index:05d}", fn=_map_policy_shard, args=(index,)
+                        )
+                        for index in range(self.store.n_shards)
+                    ]
                 )
-                tasks = [
-                    CrawlTask(
-                        key=f"policies-{index:05d}",
-                        fn=_map_policy_shard_shared,
-                        args=(index,),
-                    )
-                    for index in range(self.store.n_shards)
-                ]
-            else:
-                tasks = [
-                    CrawlTask(
-                        key=f"policies-{index:05d}",
-                        fn=_map_policy_shard,
-                        args=(
-                            str(self.store.root),
-                            index,
-                            "policy_duplicates" in policy_names,
-                            disclosure_specs[index] if disclosure_specs else None,
-                        ),
-                    )
-                    for index in range(self.store.n_shards)
-                ]
-            merged.update(self._run_merge(tasks))
+            )
 
         # Finalize with the shared corpus-level context.
         results: Dict[str, object] = {}
@@ -742,17 +659,17 @@ def analyze_shards(
     classification: Optional[ClassificationResult] = None,
     taxonomy: Optional[DataTaxonomy] = None,
     party_index: Optional[ActionPartyIndex] = None,
-    backend: Union[str, ExecutionBackend, None] = None,
+    backend: Union[str, WorkerPool, None] = None,
     llm: Optional[object] = None,
     single_pass_policy: bool = False,
     near_duplicate_method: str = "auto",
 ) -> Dict[str, object]:
     """Convenience wrapper: build a runner and compute analyses in one pass.
 
-    A ``backend="process"`` runner owns a warm pool for the duration of the
-    call; the ``with`` block releases its workers on the way out.  Pass a
-    :class:`~repro.exec.WorkerPool` (or handle) instead to keep workers
-    warm across calls.
+    A ``backend="process"`` runner owns a process pool for the duration of
+    the call; the ``with`` block releases its workers on the way out.  Pass
+    a :class:`~repro.exec.WorkerPool` instead to keep workers warm across
+    calls.
     """
     with ShardAnalysisRunner(store, workers=workers, backend=backend) as runner:
         return runner.run(
@@ -773,7 +690,7 @@ def classify_shards(
     fewshot_store: object,
     config: object,
     workers: int = 0,
-    backend: Union[str, ExecutionBackend, None] = None,
+    backend: Union[str, WorkerPool, None] = None,
     descriptions: Optional[Sequence[DataDescription]] = None,
 ) -> ClassificationResult:
     """Convenience wrapper: shard-partitioned classification in one call.

@@ -40,7 +40,7 @@ from repro.crawler.pipeline import CrawlPipeline
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.ecosystem.models import SyntheticEcosystem
-from repro.exec import ExecutionBackend, WorkerPool
+from repro.exec import BACKEND_NAMES, WorkerPool
 from repro.llm.fewshot import FewShotStore
 from repro.llm.simulated import SimulatedLLM
 from repro.policy.duplicates import DuplicatePolicyReport, analyze_policy_corpus
@@ -168,10 +168,10 @@ class SuiteConfig:
                 "shard-partitioned crawl and shard-parallel analyses) — "
                 "set shards=N (N >= 1), or drop backend"
             )
-        if self.backend not in (None, "serial", "thread", "process"):
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
             problems.append(
-                f"unknown backend {self.backend!r} — "
-                "pick 'serial', 'thread', or 'process' (or None for the default)"
+                f"unknown backend {self.backend!r} — pick one of "
+                f"{', '.join(map(repr, BACKEND_NAMES))} (or None for the default)"
             )
         if self.backend == "process" and self.crawl_rate_limits:
             problems.append(
@@ -278,14 +278,14 @@ class MeasurementSuite:
             self._ecosystem = world
         return self._ecosystem
 
-    def _execution_backend(self) -> Union[str, ExecutionBackend, None]:
+    def _execution_backend(self) -> Union[str, WorkerPool, None]:
         """``config.backend``, with ``"process"`` promoted to one warm pool.
 
         The pool spans the suite's lifetime — the shard-partitioned crawl
         and every shard-parallel analysis pass reuse the same workers
-        instead of respawning per stage.  Pipelines and runners receive a
-        non-owning :class:`~repro.exec.PoolHandle`, so their own cleanup
-        never tears the suite's workers down; :meth:`close` does.
+        instead of respawning per stage.  Pipelines and runners borrow it,
+        so their own cleanup never tears the suite's workers down;
+        :meth:`close` does.
         """
         if self.config.backend != "process":
             return self.config.backend
@@ -294,7 +294,7 @@ class MeasurementSuite:
                 1, self.config.shard_workers, self.config.crawl_workers
             )
             self._exec_pool = WorkerPool(kind="process", workers=workers)
-        return self._exec_pool.handle()
+        return self._exec_pool
 
     def close(self) -> None:
         """Release the suite's warm worker pool (idempotent).
@@ -314,7 +314,7 @@ class MeasurementSuite:
     def _build_pipeline(
         self,
         shards: int = 1,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: Union[str, WorkerPool, None] = None,
     ) -> CrawlPipeline:
         pipeline = CrawlPipeline.from_ecosystem(
             self.ecosystem,

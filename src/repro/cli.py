@@ -64,6 +64,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.suite import MeasurementSuite, SuiteConfig
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import EcosystemGenerator
+from repro.exec import BACKEND_NAMES
 from repro.experiments.registry import EXPERIMENTS, run_all_experiments, run_experiment
 from repro.reporting.markdown import format_table
 
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the sharded corpus store (default: a temp dir)",
     )
     parser.add_argument(
-        "--backend", default=None, choices=["serial", "thread", "process"],
+        "--backend", default=None, choices=BACKEND_NAMES,
         help="execution backend for sharded crawls/analyses and the sweep "
              "scheduler (default: serial at <=1 workers, threads above; "
              "process unlocks CPU scaling for pure-Python shard maps)",

@@ -9,9 +9,9 @@ GPTs), and policy URLs serve the generated policy documents (or 5xx errors for
 the unavailable share).
 
 The output of a crawl is a :class:`CrawlCorpus` — the raw measurement corpus
-that every downstream analysis consumes.  The crawl itself is scheduled by
-the concurrent engine in :mod:`repro.crawler.engine` over the retrying
-transport in :mod:`repro.crawler.transport`.
+that every downstream analysis consumes.  The crawl's tasks run on a
+:class:`~repro.exec.WorkerPool` over the retrying, rate-limited transport in
+:mod:`repro.crawler.transport`.
 
 **Degraded mode.**  The simulated web can be made actively hostile
 (:mod:`repro.crawler.hostile`): redirect chains and loops, 429 rate-limit
@@ -33,20 +33,13 @@ from repro.crawler.http import HTTPError, SimulatedHTTPLayer, SimulatedResponse
 from repro.crawler.transport import (
     CircuitOpenError,
     DeadlineExceededError,
+    HostRateLimiter,
     HTTPTransport,
     RedirectLoopError,
     RetryingTransport,
+    TokenBucket,
     TransportConfig,
     TransportStatistics,
-)
-from repro.crawler.engine import (
-    CrawlEngine,
-    CrawlTask,
-    FIFOTaskQueue,
-    HostRateLimiter,
-    LIFOTaskQueue,
-    TaskOutcome,
-    TokenBucket,
 )
 from repro.crawler.store_server import GPTStoreServer, install_store_servers
 from repro.crawler.gizmo_api import GizmoAPIClient, GizmoAPIServer, GIZMO_API_PREFIX
@@ -71,12 +64,7 @@ __all__ = [
     "RetryingTransport",
     "TransportConfig",
     "TransportStatistics",
-    "CrawlEngine",
-    "CrawlTask",
-    "FIFOTaskQueue",
     "HostRateLimiter",
-    "LIFOTaskQueue",
-    "TaskOutcome",
     "TokenBucket",
     "CrawlStage",
     "GPTStoreServer",

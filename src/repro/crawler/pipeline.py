@@ -1,10 +1,10 @@
-"""End-to-end crawl pipeline on the concurrent crawl engine.
+"""End-to-end crawl pipeline on the execution layer's worker pools.
 
 ``CrawlPipeline.from_ecosystem`` wires a :class:`SyntheticEcosystem` into a
 simulated network — store servers, the gizmo manifest API, and the privacy
 policy documents — and :meth:`CrawlPipeline.run` then performs the same crawl
 the paper describes in Section 3.1, rebuilt as three declarative stages
-scheduled by :class:`~repro.crawler.engine.CrawlEngine`:
+whose tasks run on a :class:`~repro.exec.WorkerPool`:
 
 1. **listing** — crawl every store's listing pages and extract GPT
    identifiers (one task per store);
@@ -46,11 +46,13 @@ listing frontier — the same index the unsharded resolve merge assigns), so
 rebuilds the corpus via :meth:`~repro.io.shards.ShardedCorpusStore.load_corpus`,
 in byte-identical discovery order.
 
-On the process backend, each shard sub-pipeline is rebuilt inside the
-worker from a picklable :class:`ShardCrawlSpec` (ecosystem + seed + failure
-injection), so the simulated network state is reconstructed — never
-inherited through fork — and per-task RNG re-seeding keeps fork and spawn
-start methods in agreement.
+On a process pool, the picklable :class:`ShardCrawlSpec` (ecosystem +
+seed + failure injection) is broadcast to each worker once and every shard
+sub-pipeline is rebuilt from it inside the worker, so the simulated network
+state is reconstructed — never inherited through fork — and per-task RNG
+re-seeding keeps fork and spawn start methods in agreement.  On a thread
+pool the shard tasks call the pipeline in-process instead, so every shard
+shares one rate-limited transport.
 
 **Incremental epoch crawls.**  :meth:`CrawlPipeline.run_incremental` is the
 delta-aware variant of :meth:`run_sharded` for a world that *churned*
@@ -71,32 +73,17 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.crawler.corpus import CrawlCorpus, CrawledGPT
-from repro.crawler.engine import (
-    CrawlEngine,
-    CrawlTask,
-    HostRateLimiter,
-    TaskOutcome,
-    TaskQueue,
-    FIFOTaskQueue,
-)
 from repro.crawler.gizmo_api import GizmoAPIClient, GizmoAPIServer
 from repro.crawler.http import SimulatedHTTPLayer
 from repro.crawler.policy_fetcher import PolicyFetcher, PolicyFetchResult
 from repro.crawler.store_crawler import StoreCrawler
 from repro.crawler.store_server import GPTStoreServer, install_store_servers
-from repro.crawler.transport import RetryingTransport, TransportConfig
+from repro.crawler.transport import HostRateLimiter, RetryingTransport, TransportConfig
 from repro.ecosystem.models import SyntheticEcosystem
-from repro.exec import (
-    ExecutionBackend,
-    ProcessBackend,
-    WorkerPool,
-    get_backend,
-    resolve_pool,
-    shared_state,
-)
+from repro.exec import ExecOutcome, ExecTask, WorkerPool, make_pool, shared_state
 from repro.io import CrawlCheckpoint
 from repro.web.urls import url_host
 
@@ -138,6 +125,14 @@ class CrawlStatistics:
     def quarantined_hosts(self) -> List[str]:
         """Hosts with at least one terminal failure this run (sorted)."""
         return sorted(self.host_failure_taxonomy)
+
+    def add_network(self, counters: Mapping[str, object]) -> None:
+        """Accumulate a network-counter delta (see
+        :meth:`CrawlPipeline._network_delta`); missing keys count as zero."""
+        self.n_http_requests += int(counters.get("n_http_requests", 0))
+        self.n_retries += int(counters.get("n_retries", 0))
+        self.n_ratelimit_retries += int(counters.get("n_ratelimit_retries", 0))
+        _merge_taxonomy(self.host_failure_taxonomy, counters.get("host_taxonomy") or {})
 
     @property
     def per_store_counts(self) -> Dict[str, int]:
@@ -205,7 +200,7 @@ class CrawlStage:
     """
 
     name: str
-    build_tasks: Callable[[], List[CrawlTask]]
+    build_tasks: Callable[[], List[ExecTask]]
     encode: Callable[[object], object]
     merge: Callable[[str, object], None]
 
@@ -363,11 +358,14 @@ class CrawlPipeline:
         dataflow.
     backend:
         Execution backend for the per-shard sub-pipelines: ``"serial"``,
-        ``"thread"``, ``"process"``, an
-        :class:`~repro.exec.backends.ExecutionBackend` instance, or ``None``
-        (serial at ``workers <= 1``, threads above).  The process backend
+        ``"thread"``, ``"process"``, a borrowed
+        :class:`~repro.exec.WorkerPool` (never closed here), or ``None``
+        (serial at ``workers <= 1``, threads above).  The process kind
         requires an ecosystem-built pipeline (:meth:`from_ecosystem`), since
-        workers reconstruct the simulated network from the ecosystem.
+        workers reconstruct the simulated network from the ecosystem.  The
+        listing stage, and every stage of an unsharded crawl, runs on
+        threads in this process whatever the backend: its tasks share the
+        pipeline's transport.
     """
 
     def __init__(
@@ -382,9 +380,8 @@ class CrawlPipeline:
         resume: bool = False,
         checkpoint_every: int = 100,
         checkpoint_shards: int = 1,
-        queue_factory: Callable[[], TaskQueue] = FIFOTaskQueue,
         shards: int = 1,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: Union[str, WorkerPool, None] = None,
     ) -> None:
         self.http = http
         self.store_servers = store_servers
@@ -400,14 +397,6 @@ class CrawlPipeline:
             rate_limiter=HostRateLimiter(rate_limits) if rate_limits else None,
         )
         self.backend = backend
-        # Stage tasks are closures over the shared transport, so the stage
-        # engine never runs on the process backend; a process-backend
-        # pipeline routes whole shard sub-pipelines there instead (run()
-        # falls through to the partitioned dataflow).
-        stage_backend = backend if not self._wants_process_backend() else None
-        self.engine = CrawlEngine(
-            workers=workers, queue_factory=queue_factory, backend=stage_backend
-        )
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
         self.checkpoint_every = max(1, checkpoint_every)
@@ -417,9 +406,9 @@ class CrawlPipeline:
         #: required for process-backend shard workers.
         self.ecosystem: Optional[SyntheticEcosystem] = None
         self.statistics = CrawlStatistics()
-        #: Warm pool this pipeline built for backend="process" (owned:
-        #: closed when run_sharded finishes).  Instance backends are
-        #: borrowed and never closed here.
+        #: Shard pool this pipeline built from a backend name (owned:
+        #: closed when run_sharded finishes).  A WorkerPool passed as the
+        #: backend is borrowed and never closed here.
         self._owned_pool: Optional[WorkerPool] = None
         #: The ShardCrawlSpec broadcast to process workers — built once per
         #: pipeline so pool.broadcast sees the same object across the
@@ -469,13 +458,9 @@ class CrawlPipeline:
                        identifier_sources: Dict[str, List[str]]) -> CrawlStage:
         crawler = StoreCrawler(self.transport)
 
-        def build_tasks() -> List[CrawlTask]:
+        def build_tasks() -> List[ExecTask]:
             return [
-                CrawlTask(
-                    key=server.name,
-                    fn=lambda s=server: crawler.crawl(s.name, s.base_url),
-                    host=server.domain,
-                )
+                ExecTask(key=server.name, fn=crawler.crawl, args=(server.name, server.base_url))
                 for server in self.store_servers
             ]
 
@@ -498,13 +483,9 @@ class CrawlPipeline:
                        identifier_sources: Dict[str, List[str]]) -> CrawlStage:
         client = GizmoAPIClient(self.transport)
 
-        def build_tasks() -> List[CrawlTask]:
+        def build_tasks() -> List[ExecTask]:
             return [
-                CrawlTask(
-                    key=identifier,
-                    fn=lambda i=identifier: client.fetch(i),
-                    host="chat.openai.com",
-                )
+                ExecTask(key=identifier, fn=client.fetch, args=(identifier,))
                 for identifier in identifier_sources
             ]
 
@@ -540,7 +521,7 @@ class CrawlPipeline:
     def _policy_stage(self, corpus: CrawlCorpus) -> CrawlStage:
         fetcher = PolicyFetcher(self.transport)
 
-        def build_tasks() -> List[CrawlTask]:
+        def build_tasks() -> List[ExecTask]:
             urls = sorted(
                 {
                     action.legal_info_url
@@ -548,10 +529,7 @@ class CrawlPipeline:
                     if action.legal_info_url
                 }
             )
-            return [
-                CrawlTask(key=url, fn=lambda u=url: fetcher.fetch(u), host=url_host(url))
-                for url in urls
-            ]
+            return [ExecTask(key=url, fn=fetcher.fetch, args=(url,)) for url in urls]
 
         def encode(result: object) -> object:
             return {"status": result.status, "text": result.text, "error": result.error}
@@ -574,31 +552,31 @@ class CrawlPipeline:
     # Shard-partitioned crawl
     # ------------------------------------------------------------------
     def _wants_process_backend(self) -> bool:
-        pool = resolve_pool(self.backend)
-        return (
-            self.backend == "process"
-            or isinstance(self.backend, ProcessBackend)
-            or (pool is not None and pool.is_process)
-        )
+        if isinstance(self.backend, WorkerPool):
+            return self.backend.is_process
+        return self.backend == "process"
 
-    def _shard_backend(self) -> ExecutionBackend:
-        """The backend shard sub-pipelines run on.
-
-        ``backend="process"`` builds one warm :class:`WorkerPool` reused
-        across the resolve and policy phases (closed when ``run_sharded``
-        finishes) instead of a cold pool per phase.  Never rate-limited at
-        the task level: on the serial/thread backends the sub-pipelines
-        share this pipeline's transport (and so its per-host buckets); the
-        process backend refuses configured rate limits outright (see
-        :meth:`_shard_crawl_spec`)."""
-        if isinstance(self.backend, ExecutionBackend):
+    def _stage_pool(self) -> WorkerPool:
+        """The thread pool in-coordinator stages run on (their tasks are
+        closures over the shared transport, so never a process pool)."""
+        if isinstance(self.backend, WorkerPool) and not self.backend.is_process:
             return self.backend
-        workers = self.workers if self.workers > 0 else 1
-        if self.backend == "process":
-            if self._owned_pool is None:
-                self._owned_pool = WorkerPool(kind="process", workers=workers)
-            return self._owned_pool
-        return get_backend(self.backend, workers=workers)
+        named = None if self._wants_process_backend() else self.backend
+        return make_pool(named, self.workers)
+
+    def _shard_pool(self) -> WorkerPool:
+        """The pool shard sub-pipelines run on.
+
+        ``backend="process"`` builds one process pool reused across the
+        resolve and policy phases (closed when ``run_sharded`` finishes).
+        On a thread pool the sub-pipelines share this pipeline's transport
+        (and so its per-host buckets); the process kind refuses configured
+        rate limits outright (see :meth:`_shard_crawl_spec`)."""
+        if isinstance(self.backend, WorkerPool):
+            return self.backend
+        if self._owned_pool is None:
+            self._owned_pool = make_pool(self.backend, max(1, self.workers))
+        return self._owned_pool
 
     def _close_owned_pool(self) -> None:
         if self._owned_pool is not None:
@@ -617,8 +595,7 @@ class CrawlPipeline:
         if self.rate_limits:
             # Refuse rather than silently weaken politeness: each worker
             # process would rebuild its own token buckets, admitting up to
-            # workers x the configured per-host rate (the same contract
-            # CrawlEngine enforces for process + rate limiter).
+            # workers x the configured per-host rate.
             raise ValueError(
                 "per-host rate limits cannot be enforced across process-"
                 "backend shard workers (each would admit the full rate); "
@@ -650,11 +627,12 @@ class CrawlPipeline:
     ) -> Dict[str, object]:
         """Fetch one shard's slice of a stage, checkpointing incrementally.
 
-        Runs in the coordinator (serial/thread backends, sharing the
-        pipeline transport and therefore its rate limits) or inside a
-        process worker on a rebuilt pipeline.  Returns the shard's records
-        in key order plus resume/network counters.  Fetches within a shard
-        are sequential; parallelism is across shards.
+        Runs in the coordinator (thread pools, sharing the pipeline
+        transport and therefore its rate limits) or inside a process worker
+        on a rebuilt pipeline, which reports its own network counters.
+        Returns the shard's records in key order plus resume/network
+        counters.  Fetches within a shard are sequential; parallelism is
+        across shards.
         """
         checkpoint: Optional[CrawlCheckpoint] = None
         if self.checkpoint_dir is not None:
@@ -674,10 +652,9 @@ class CrawlPipeline:
         else:  # pragma: no cover - guarded by the phase runner
             raise ValueError(f"unknown shard stage {stage_name!r}")
 
-        requests_before = self.http.request_count
-        retries_before = self.transport.statistics.n_retries
-        ratelimit_before = self.transport.statistics.n_ratelimit_retries
-        taxonomy_before = _taxonomy_snapshot(self.transport.statistics.per_host_taxonomy)
+        # Only a process worker counts its own traffic: on a thread pool the
+        # transport is shared, and the coordinator counts around the run.
+        network_before = self._network_counters() if report_network_stats else None
         # Shard-sliced load + loadless append: the sub-pipeline's memory is
         # bounded by its own shard's records even when resuming a huge
         # checkpoint (load_stage would materialize every shard's payloads).
@@ -704,15 +681,8 @@ class CrawlPipeline:
         if checkpoint is not None:
             checkpoint.flush(stage_name)
         result: Dict[str, object] = {"records": records, "n_resumed": n_resumed}
-        if report_network_stats:
-            result["n_http_requests"] = self.http.request_count - requests_before
-            result["n_retries"] = self.transport.statistics.n_retries - retries_before
-            result["n_ratelimit_retries"] = (
-                self.transport.statistics.n_ratelimit_retries - ratelimit_before
-            )
-            result["host_taxonomy"] = _taxonomy_delta(
-                taxonomy_before, self.transport.statistics.per_host_taxonomy
-            )
+        if network_before is not None:
+            result.update(self._network_delta(network_before))
         return result
 
     def _run_shard_phase(
@@ -721,82 +691,49 @@ class CrawlPipeline:
         shard_keys: Sequence[Sequence[str]],
         consume: Callable[[int, Sequence], None],
     ) -> None:
-        """Fan one stage's shards out on the backend and stream the results.
+        """Fan one stage's shards out on the pool and stream the results.
 
         ``consume(shard, records)`` is called once per completed shard,
-        serialized, in completion order; the backend drops each shard's
+        serialized, in completion order; the pool drops each shard's
         payload after consumption (``keep_results=False``), so the
         coordinator holds at most one shard's records at a time.  Writes are
         order-safe under completion-order consumption because each shard's
         records route to that shard's files alone.
         """
-        backend = self._shard_backend()
-        pool = resolve_pool(backend)
-        tasks: List[CrawlTask] = []
-        if pool is not None and pool.is_process:
-            # Warm-pool path: the ShardCrawlSpec (ecosystem included) is
-            # broadcast once via the pool initializer; tasks carry only
-            # (stage, shard, keys), so per-task pickles are identifier-sized.
+        pool = self._shard_pool()
+        if pool.is_process:
+            # The ShardCrawlSpec (ecosystem included) is broadcast once via
+            # the pool initializer; tasks carry only (stage, shard, keys),
+            # so per-task pickles are identifier-sized.
             pool.broadcast(SHARD_SPEC_KEY, self._shard_crawl_spec())
-            for shard, keys in enumerate(shard_keys):
-                if not keys:
-                    continue
-                tasks.append(
-                    CrawlTask(
-                        key=f"{stage_name}-{shard:05d}",
-                        fn=_shard_stage_task_shared,
-                        args=(stage_name, shard, list(keys)),
-                        seed=_shard_task_seed(self.http.seed, stage_name, shard),
-                    )
-                )
-        elif isinstance(backend, ProcessBackend):
-            spec = self._shard_crawl_spec()
-            for shard, keys in enumerate(shard_keys):
-                if not keys:
-                    continue
-                tasks.append(
-                    CrawlTask(
-                        key=f"{stage_name}-{shard:05d}",
-                        fn=_shard_stage_task,
-                        args=(spec, stage_name, shard, list(keys)),
-                        seed=_shard_task_seed(self.http.seed, stage_name, shard),
-                    )
-                )
-        else:
-            for shard, keys in enumerate(shard_keys):
-                if not keys:
-                    continue
-                tasks.append(
-                    CrawlTask(
-                        key=f"{stage_name}-{shard:05d}",
-                        fn=self._run_shard_stage,
-                        args=(stage_name, shard, list(keys)),
-                    )
-                )
+        tasks = [
+            ExecTask(
+                key=f"{stage_name}-{shard:05d}",
+                fn=_shard_stage_task_shared if pool.is_process else self._run_shard_stage,
+                args=(stage_name, shard, list(keys)),
+                seed=_shard_task_seed(self.http.seed, stage_name, shard),
+            )
+            for shard, keys in enumerate(shard_keys)
+            if keys
+        ]
 
-        def on_result(outcome: TaskOutcome) -> None:
+        def on_result(outcome: ExecOutcome) -> None:
             if not outcome.ok:
                 # Fetchers fold expected network failures into their
-                # results, so an engine-level error is a code bug (or an
-                # unpicklable payload on the process backend).
+                # results, so a task-level error is a code bug (or an
+                # unpicklable payload on a process pool).
                 raise RuntimeError(
                     f"shard crawl task {outcome.key!r} failed: {outcome.error}"
                 )
             shard = int(outcome.key.rsplit("-", 1)[1])
             payload = outcome.result
             self.statistics.n_tasks_resumed += int(payload.get("n_resumed", 0))
-            self.statistics.n_http_requests += int(payload.get("n_http_requests", 0))
-            self.statistics.n_retries += int(payload.get("n_retries", 0))
-            self.statistics.n_ratelimit_retries += int(
-                payload.get("n_ratelimit_retries", 0)
-            )
-            _merge_taxonomy(
-                self.statistics.host_failure_taxonomy,
-                payload.get("host_taxonomy") or {},
-            )
+            # Process workers report their own network counters; thread
+            # tasks share the coordinator's, counted around the whole run.
+            self.statistics.add_network(payload)
             consume(shard, payload["records"])
 
-        backend.run(tasks, on_result=on_result, keep_results=False)
+        pool.run(tasks, on_result=on_result, keep_results=False)
 
     def run_sharded(
         self,
@@ -811,10 +748,10 @@ class CrawlPipeline:
         at ``shard_dir`` — byte-identical to
         ``ShardedCorpusStore.write_corpus(self.run(), self.shards)`` without
         ever materializing the whole-run corpus.  See the module docstring
-        for the dataflow.  With ``backend="process"`` one warm
+        for the dataflow.  With ``backend="process"`` one
         :class:`~repro.exec.WorkerPool` spans the resolve and policy phases
         and is closed on the way out (interrupted runs included); a
-        caller-supplied pool instance stays open for reuse.
+        caller-supplied pool stays open for reuse.
 
         ``epoch``/``parent_fingerprint`` stamp the produced store's lineage
         without changing a single record byte — the byte-identity oracle for
@@ -836,10 +773,7 @@ class CrawlPipeline:
         from repro.io.shards import ShardedCorpusWriter, shard_index
 
         self.statistics = CrawlStatistics()
-        requests_before = self.http.request_count
-        retries_before = self.transport.statistics.n_retries
-        ratelimit_before = self.transport.statistics.n_ratelimit_retries
-        taxonomy_before = _taxonomy_snapshot(self.transport.statistics.per_host_taxonomy)
+        network_before = self._network_counters()
         checkpoint = self._open_checkpoint(n_shards=self.shards)
         if checkpoint is not None:
             # Settle the layout marker before any shard sub-pipeline opens
@@ -931,17 +865,9 @@ class CrawlPipeline:
         )
         store = writer.close()
         # Coordinator-side network counters (listing pages always; resolve
-        # and policy fetches too on the serial/thread backends, which share
-        # this pipeline's transport — process workers reported their own).
-        self.statistics.n_http_requests += self.http.request_count - requests_before
-        self.statistics.n_retries += self.transport.statistics.n_retries - retries_before
-        self.statistics.n_ratelimit_retries += (
-            self.transport.statistics.n_ratelimit_retries - ratelimit_before
-        )
-        _merge_taxonomy(
-            self.statistics.host_failure_taxonomy,
-            _taxonomy_delta(taxonomy_before, self.transport.statistics.per_host_taxonomy),
-        )
+        # and policy fetches too on thread pools, which share this
+        # pipeline's transport — process workers reported their own).
+        self.statistics.add_network(self._network_delta(network_before))
         return store
 
     # ------------------------------------------------------------------
@@ -1022,10 +948,7 @@ class CrawlPipeline:
             epoch = parent_manifest.epoch + 1
 
         self.statistics = CrawlStatistics()
-        requests_before = self.http.request_count
-        retries_before = self.transport.statistics.n_retries
-        ratelimit_before = self.transport.statistics.n_ratelimit_retries
-        taxonomy_before = _taxonomy_snapshot(self.transport.statistics.per_host_taxonomy)
+        network_before = self._network_counters()
         self._incremental_meta = {"parent": parent_fingerprint, "epoch": epoch}
         checkpoint = self._open_checkpoint(n_shards=self.shards)
         if checkpoint is not None:
@@ -1236,20 +1159,37 @@ class CrawlPipeline:
             unresolved_gpt_ids=[i for i in identifier_order if i in unresolved],
         )
         store = writer.close()
-        self.statistics.n_http_requests += self.http.request_count - requests_before
-        self.statistics.n_retries += self.transport.statistics.n_retries - retries_before
-        self.statistics.n_ratelimit_retries += (
-            self.transport.statistics.n_ratelimit_retries - ratelimit_before
-        )
-        _merge_taxonomy(
-            self.statistics.host_failure_taxonomy,
-            _taxonomy_delta(taxonomy_before, self.transport.statistics.per_host_taxonomy),
-        )
+        self.statistics.add_network(self._network_delta(network_before))
         return store
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _network_counters(self) -> Dict[str, object]:
+        """Snapshot of the cumulative HTTP-layer and transport counters.
+
+        Both are cumulative across runs of the same pipeline; a run takes a
+        snapshot first and reports :meth:`_network_delta` against it, so
+        statistics stay per-run.
+        """
+        stats = self.transport.statistics
+        return {
+            "n_http_requests": self.http.request_count,
+            "n_retries": stats.n_retries,
+            "n_ratelimit_retries": stats.n_ratelimit_retries,
+            "host_taxonomy": _taxonomy_snapshot(stats.per_host_taxonomy),
+        }
+
+    def _network_delta(self, before: Mapping[str, object]) -> Dict[str, object]:
+        """Counters accumulated since ``before`` (for :meth:`CrawlStatistics.add_network`)."""
+        after = self._network_counters()
+        delta = {
+            key: int(after[key]) - int(before[key])
+            for key in ("n_http_requests", "n_retries", "n_ratelimit_retries")
+        }
+        delta["host_taxonomy"] = _taxonomy_delta(before["host_taxonomy"], after["host_taxonomy"])
+        return delta
+
     def _run_stage(self, stage: CrawlStage,
                    checkpoint: Optional[CrawlCheckpoint]) -> None:
         tasks = stage.build_tasks()
@@ -1263,10 +1203,10 @@ class CrawlPipeline:
         if pending:
             flush_counter = {"n": 0}
 
-            def on_result(outcome: TaskOutcome) -> None:
+            def on_result(outcome: ExecOutcome) -> None:
                 if not outcome.ok:
                     # Fetchers fold expected network failures into their
-                    # results, so an engine-level error is a code bug.
+                    # results, so a task-level error is a code bug.
                     raise RuntimeError(
                         f"crawl task {outcome.key!r} failed: {outcome.error}"
                     )
@@ -1278,11 +1218,9 @@ class CrawlPipeline:
                     if flush_counter["n"] % self.checkpoint_every == 0:
                         checkpoint.flush(stage.name)
 
-            self.engine.on_result = on_result
             try:
-                self.engine.run(pending)
+                self._stage_pool().run(pending, on_result=on_result)
             finally:
-                self.engine.on_result = None
                 if checkpoint is not None:
                     checkpoint.flush(stage.name)
 
@@ -1358,12 +1296,7 @@ class CrawlPipeline:
 
         corpus = CrawlCorpus()
         self.statistics = CrawlStatistics(corpus=corpus)
-        # The layer and transport counters are cumulative across runs of the
-        # same pipeline; snapshot them so statistics stay per-run.
-        requests_before = self.http.request_count
-        retries_before = self.transport.statistics.n_retries
-        ratelimit_before = self.transport.statistics.n_ratelimit_retries
-        taxonomy_before = _taxonomy_snapshot(self.transport.statistics.per_host_taxonomy)
+        network_before = self._network_counters()
         checkpoint = self._open_checkpoint(n_shards=self.checkpoint_shards)
 
         identifier_sources: Dict[str, List[str]] = {}
@@ -1377,20 +1310,12 @@ class CrawlPipeline:
             self._run_stage(stage, checkpoint)
             if stage.name == "listing":
                 self.statistics.n_unique_identifiers = len(identifier_sources)
-
-        self.statistics.n_http_requests = self.http.request_count - requests_before
-        self.statistics.n_retries = self.transport.statistics.n_retries - retries_before
-        self.statistics.n_ratelimit_retries = (
-            self.transport.statistics.n_ratelimit_retries - ratelimit_before
-        )
-        self.statistics.host_failure_taxonomy = _taxonomy_delta(
-            taxonomy_before, self.transport.statistics.per_host_taxonomy
-        )
+        self.statistics.add_network(self._network_delta(network_before))
         return corpus
 
 
 # ---------------------------------------------------------------------------
-# Process-backend shard workers
+# Process-pool shard workers
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardCrawlSpec:
@@ -1446,20 +1371,6 @@ def _build_shard_pipeline(spec: ShardCrawlSpec) -> "CrawlPipeline":
     return pipeline
 
 
-def _shard_stage_task(
-    spec: ShardCrawlSpec, stage_name: str, shard: int, keys: List[str]
-) -> Dict[str, object]:
-    """Run one shard's resolve/policy sub-stage in an isolated worker.
-
-    The rebuilt pipeline shares nothing with the coordinator except the
-    spec; per-URL failure and retry draws are pure functions of
-    ``(seed, url, attempt)`` and the shards partition the URL space, so the
-    records match a coordinator-side run exactly.
-    """
-    pipeline = _build_shard_pipeline(spec)
-    return pipeline._run_shard_stage(stage_name, shard, keys, report_network_stats=True)
-
-
 #: Broadcast key the sharded crawl registers its ShardCrawlSpec under.
 SHARD_SPEC_KEY = "crawl/shard-spec"
 
@@ -1475,12 +1386,15 @@ _WORKER_SHARD_PIPELINE: List = []
 def _shard_stage_task_shared(
     stage_name: str, shard: int, keys: List[str]
 ) -> Dict[str, object]:
-    """Warm-pool shard sub-stage: fetch the spec from broadcast state.
+    """Run one shard's resolve/policy sub-stage in a process worker.
 
     Identifier-sized task payload; the ecosystem-sized spec shipped once
-    via the pool initializer.  Safe to reuse one rebuilt pipeline across
-    tasks because failure/retry draws are pure in ``(seed, url, attempt)``
-    and ``_run_shard_stage`` snapshots its network counters per call.
+    via the pool initializer.  The rebuilt pipeline shares nothing with the
+    coordinator except the spec; per-URL failure and retry draws are pure
+    functions of ``(seed, url, attempt)`` and the shards partition the URL
+    space, so the records match a coordinator-side run exactly.  Safe to
+    reuse one rebuilt pipeline across tasks because ``_run_shard_stage``
+    snapshots its network counters per call.
     """
     spec = shared_state(SHARD_SPEC_KEY)
     if not _WORKER_SHARD_PIPELINE or _WORKER_SHARD_PIPELINE[0] is not spec:

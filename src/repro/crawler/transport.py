@@ -28,6 +28,8 @@ and adds:
   counts and execution backends;
 * optional per-host circuit breaking: after a run of consecutive failures a
   host is "open" and requests fail fast until a cooldown elapses;
+* optional per-host politeness limits (:class:`HostRateLimiter`, one token
+  bucket per host) consulted before every attempt, retries included;
 * optional simulated per-request latency, which stands in for network RTT so
   concurrency speedups are measurable offline.
 
@@ -84,10 +86,82 @@ class HTTPTransport(Protocol):
 
 
 class RateLimiter(Protocol):
-    """Per-host admission control (e.g. ``engine.HostRateLimiter``)."""
+    """Per-host admission control (e.g. :class:`HostRateLimiter`)."""
 
     def acquire(self, host: Optional[str]) -> None:  # pragma: no cover - protocol
         ...
+
+
+class TokenBucket:
+    """A thread-safe token bucket (``rate`` tokens/second, burst ``capacity``)."""
+
+    def __init__(self, rate: float, capacity: Optional[float] = None) -> None:
+        if rate <= 0:
+            raise ValueError("rate must be positive")
+        self.rate = rate
+        self.capacity = capacity if capacity is not None else max(1.0, rate)
+        self._tokens = self.capacity
+        self._updated = time.monotonic()
+        self._lock = threading.Lock()
+
+    def _refill(self, now: float) -> None:
+        elapsed = now - self._updated
+        self._updated = now
+        self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
+
+    def try_acquire(self) -> bool:
+        """Take a token if one is available (non-blocking)."""
+        with self._lock:
+            self._refill(time.monotonic())
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
+                return True
+            return False
+
+    def acquire(self) -> None:
+        """Block until a token is available, then take it."""
+        while True:
+            with self._lock:
+                now = time.monotonic()
+                self._refill(now)
+                if self._tokens >= 1.0:
+                    self._tokens -= 1.0
+                    return
+                wait = (1.0 - self._tokens) / self.rate
+            time.sleep(wait)
+
+
+class HostRateLimiter:
+    """Per-host token buckets (the crawl's politeness limits).
+
+    ``rates`` maps host → requests/second; ``default_rate`` (optional)
+    applies to hosts not listed.  Hosts with no applicable rate are
+    unthrottled.
+    """
+
+    def __init__(self, rates: Optional[Dict[str, float]] = None,
+                 default_rate: Optional[float] = None) -> None:
+        self._rates = {host.lower(): rate for host, rate in (rates or {}).items()}
+        self._default_rate = default_rate
+        self._buckets: Dict[str, TokenBucket] = {}
+        self._lock = threading.Lock()
+
+    def acquire(self, host: Optional[str]) -> None:
+        """Block until ``host`` may issue one request (no-op if unthrottled)."""
+        if not host:
+            return
+        host = host.lower()
+        rate = self._rates.get(host, self._default_rate)
+        if rate is None:
+            return
+        with self._lock:
+            bucket = self._buckets.get(host)
+            if bucket is None:
+                # Burst capacity of one: politeness limits space requests at
+                # 1/rate rather than allowing an initial burst.
+                bucket = TokenBucket(rate, capacity=1.0)
+                self._buckets[host] = bucket
+        bucket.acquire()
 
 
 @dataclass(frozen=True)

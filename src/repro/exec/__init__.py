@@ -1,71 +1,32 @@
-"""Pluggable execution backends (serial / thread / process) and warm pools.
+"""The execution layer: :class:`~repro.exec.pool.WorkerPool` runs every fan-out.
 
-See :mod:`repro.exec.backends` for the scheduling contract.  The crawl
-engine (:mod:`repro.crawler.engine`), the shard-parallel streaming
-analyses (:mod:`repro.analysis.streaming`), and the sweep engine
-(:mod:`repro.experiments.sweep`) all fan out through this layer, so
-switching a pipeline between GIL-bound threads and real CPU scaling on a
-process pool is one knob (``--backend``) rather than a rewrite.
-
-**Pool lifecycle.**  The cold backends spawn their pool per ``run()``
-call; :class:`~repro.exec.pool.WorkerPool` instead owns one live
-executor across many calls — explicit idempotent ``close()`` (or a
-``with`` block), crashed-worker replacement with capped per-task
-retries, and byte-identical results regardless of reuse (outcomes merge
-in submission order; per-task RNG re-seeding runs on every invocation,
-so fork/spawn agreement survives warm workers).  Consumers that are
-*lent* a pool receive a :class:`~repro.exec.pool.PoolHandle`, whose
-``close()`` is a no-op — only the owner tears workers down.  The string
-knobs stay the API: a consumer given ``backend="process"`` builds (and
-closes) its own pool; passing a ``WorkerPool``/``PoolHandle`` instance
-keeps the workers warm across consumers.
-
-**Shared-state broadcast contract.**  ``WorkerPool.broadcast(key,
-payload)`` registers a picklable payload that ships to each worker
-exactly once via the pool initializer; task functions fetch it with
-:func:`~repro.exec.pool.shared_state` instead of carrying it, shrinking
-per-task pickles from ecosystem-sized to identifier-sized.
-Re-broadcasting a *different* object under a key restarts the pool at
-the next ``run()`` (initializers cannot reach live workers), so
-broadcast before the first run and reuse payload objects across runs.
+The crawl's stages and shard sub-pipelines
+(:mod:`repro.crawler.pipeline`), the shard-parallel streaming analyses
+(:mod:`repro.analysis.streaming`) and the sweep engine
+(:mod:`repro.experiments.sweep`) all submit keyed :class:`ExecTask` batches
+to a pool and merge the :class:`ExecOutcome` list in submission order, so
+results are byte-identical on every kind of pool and at any worker count.
+Switching a pipeline between threads and real CPU scaling on processes is
+one knob (``--backend``), which :func:`make_pool` maps to a new pool.  See
+:mod:`repro.exec.pool` for the two pool kinds, the broadcast-once shared
+state and the ownership rule (whoever builds a pool closes it; a consumer
+handed one borrows it).
 """
 
-from repro.exec.backends import (
+from repro.exec.pool import (
     BACKEND_NAMES,
     ExecOutcome,
     ExecTask,
-    ExecutionBackend,
-    FIFOTaskQueue,
-    LIFOTaskQueue,
-    ProcessBackend,
-    SerialBackend,
-    TaskQueue,
-    ThreadBackend,
-    get_backend,
-)
-from repro.exec.pool import (
-    POOL_KINDS,
-    PoolHandle,
     WorkerPool,
-    resolve_pool,
+    make_pool,
     shared_state,
 )
 
 __all__ = [
     "BACKEND_NAMES",
-    "POOL_KINDS",
     "ExecOutcome",
     "ExecTask",
-    "ExecutionBackend",
-    "FIFOTaskQueue",
-    "LIFOTaskQueue",
-    "PoolHandle",
-    "ProcessBackend",
-    "SerialBackend",
-    "TaskQueue",
-    "ThreadBackend",
     "WorkerPool",
-    "get_backend",
-    "resolve_pool",
+    "make_pool",
     "shared_state",
 ]

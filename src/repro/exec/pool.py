@@ -1,53 +1,53 @@
-"""Persistent warm worker pools with broadcast-once shared state.
+"""One executor for every fan-out: :class:`WorkerPool`.
 
-:class:`~repro.exec.backends.ProcessBackend` honors the scheduling
-contract but pays the full dispatch cost on every :meth:`run` call: a
-fresh :class:`~concurrent.futures.ProcessPoolExecutor` is spawned per
-batch, and every task pickles its whole payload — a sharded crawl ships
-the entire :class:`~repro.crawler.pipeline.ShardCrawlSpec` (the
-generated ecosystem, megabytes) once per (stage, shard) task.  This
-module amortizes both costs:
+Every fan-out layer in the reproduction — the crawl's stages and shard
+sub-pipelines, the shard-parallel streaming analyses, the sweep engine's
+experiment cells — shares one scheduling contract: submit a batch of keyed
+tasks, observe completions as they happen, and receive outcomes merged back
+in **submission order**, so seeded pipelines stay byte-reproducible at any
+parallelism.  Per-task exceptions surface as :attr:`ExecOutcome.error`
+strings rather than raising, so a caller's merge loop is the same on every
+kind of pool.
 
-* :class:`WorkerPool` — a lifecycle object owning one live executor
-  (process or thread) across many ``run()`` calls.  Explicit
-  :meth:`~WorkerPool.close` (idempotent), context-manager support, and
-  crashed-worker replacement: a :class:`BrokenProcessPool` mid-batch
-  rebuilds the executor and resubmits the still-pending tasks (capped
-  per-task attempts), so one dying worker costs a respawn, not the run.
-  Results are deterministic regardless of reuse — outcomes merge in
-  submission order and per-task RNG re-seeding
-  (:func:`~repro.exec.backends._invoke_in_worker`) happens on every
-  invocation, so a reused worker and a fresh one agree byte-for-byte.
-* **Broadcast-once shared state** — :meth:`WorkerPool.broadcast`
-  registers a picklable payload under a key; it ships to each worker
-  exactly once via the pool *initializer* (pickled into ``initargs`` at
-  executor creation), and tasks reference it with :func:`shared_state`
-  instead of carrying it.  Per-task pickles shrink from ecosystem-sized
-  to identifier-sized.  Re-broadcasting a *different* object under an
-  existing key marks the pool dirty: the next ``run()`` restarts the
-  executor so every worker observes the update (initializers cannot
-  reach live workers) — so broadcast everything before the first run
-  when possible, and reuse the same payload object across runs to stay
-  warm.
-* :class:`PoolHandle` — a non-owning view for lending a pool to a
-  consumer (a pipeline, an analysis runner) whose cleanup must not tear
-  down the owner's workers: ``close()`` on a handle is a no-op.
+:class:`WorkerPool` comes in two kinds:
 
-The thread kind exists so pool-lifecycle code is backend-agnostic: it
-keeps the frontier-draining semantics of
-:class:`~repro.exec.backends.ThreadBackend` (pluggable queue, optional
-rate limiter) over a persistent :class:`ThreadPoolExecutor`, and
-``broadcast`` payloads live in the pool's own store (shared memory — no
-restart, no pickling).  Worker threads see *their* pool's store through a
-thread-local installed for the duration of each ``run()``, so two live
-thread pools never observe each other's broadcasts and a closed pool
-leaves nothing behind in later pools or tests.
+* ``"thread"`` — runs inline on the calling thread at ``workers <= 1``
+  (the sequential baseline); above that, each :meth:`~WorkerPool.run`
+  starts ``workers`` threads that drain the batch and joins them before it
+  returns, so the pool holds no threads between runs and a consumer never
+  has to close one.  Right for I/O-bound tasks (the simulated network) and
+  numpy-heavy tasks that release the GIL.  Task callables may be closures.
+* ``"process"`` — one persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor` across many runs, for
+  pure-Python, CPU-bound fan-out (shard map steps, sweep cells) that the
+  GIL caps at one core on threads.  Task payloads must pickle: a
+  module-level ``fn`` plus plain-data ``args``.  Each task runs with the
+  worker's module-level RNG re-seeded from :attr:`ExecTask.seed`, so a
+  stray global draw is a pure function of the task — fork and spawn, fresh
+  and reused workers all agree.  A worker that dies mid-batch
+  (:class:`BrokenProcessPool`) costs a respawn, not the run: the pending
+  tasks resubmit on a rebuilt pool, up to :data:`MAX_TASK_ATTEMPTS` times.
+
+**Shared-state broadcast.**  :meth:`WorkerPool.broadcast` registers a
+payload that tasks read with :func:`shared_state` instead of carrying it.
+On the process kind it ships to each worker exactly once via the pool
+initializer, shrinking per-task pickles from ecosystem-sized to
+identifier-sized; re-broadcasting a *different* object under a key
+restarts the executor at the next run (initializers cannot reach live
+workers), so reuse payload objects across runs to stay warm.  On the
+thread kind the payload lives in the pool's own store, visible to the
+threads running that pool's tasks and to no other pool.
+
+**Ownership.**  :func:`make_pool` maps a backend name and a worker count to
+a new pool; whoever builds a pool closes it.  A consumer handed a
+``WorkerPool`` instance borrows it and never closes it, so one warm
+process pool can span a crawl and every analysis pass after it.
 """
 
 from __future__ import annotations
 
+import random
 import threading
-
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -55,22 +55,79 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exec.backends import (
-    ExecOutcome,
-    ExecTask,
-    ExecutionBackend,
-    FIFOTaskQueue,
-    RateLimiter,
-    TaskQueue,
-    _check_unique_keys,
-    _FrontierBackend,
-    _invoke_in_worker,
-)
+#: Names every ``backend`` knob accepts (``None`` picks by worker count).
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "thread", "process")
 
 #: Pool kinds :class:`WorkerPool` accepts.
-POOL_KINDS = ("thread", "process")
+POOL_KINDS: Tuple[str, ...] = ("thread", "process")
+
+#: Submission attempts per task across :class:`BrokenProcessPool` rebuilds
+#: before the task is reported as a failed outcome (tolerates a crashing
+#: neighbor twice).
+MAX_TASK_ATTEMPTS = 3
+
+
+@dataclass(frozen=True)
+class ExecTask:
+    """One schedulable unit of work.
+
+    ``key`` must be unique within a batch — it names the result in the
+    outcome list and in checkpoints.  ``fn(*args)`` is the work; on the
+    process kind both must pickle, so ``fn`` has to be a module-level
+    callable there.  ``seed`` (optional) re-seeds a process worker's
+    module-level :mod:`random` RNG before ``fn`` runs.
+    """
+
+    key: str
+    fn: Callable[..., object]
+    args: Tuple = ()
+    seed: Optional[int] = None
+
+
+@dataclass
+class ExecOutcome:
+    """What happened to one task."""
+
+    key: str
+    result: Optional[object] = None
+    error: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        """Whether the task completed without raising."""
+        return self.error is None
+
+
+def _check_unique_keys(tasks: Sequence[ExecTask]) -> List[str]:
+    keys = [task.key for task in tasks]
+    if len(set(keys)) != len(keys):
+        raise ValueError("task keys must be unique within a batch")
+    return keys
+
+
+def _execute(task: ExecTask) -> ExecOutcome:
+    """Run a task in this thread, folding an exception into its outcome."""
+    try:
+        return ExecOutcome(key=task.key, result=task.fn(*task.args))
+    except Exception as exc:  # noqa: BLE001 - outcomes carry the error
+        return ExecOutcome(key=task.key, error=f"{type(exc).__name__}: {exc}")
+
+
+def _invoke_in_worker(task: ExecTask) -> object:
+    """Runs inside a process worker: re-seed, then invoke.
+
+    Re-seeding the module-level RNG from the task payload (rather than
+    relying on whatever state the worker inherited at fork, or the fresh
+    default state a spawn start gives) makes any stray global draw a pure
+    function of the task.
+    """
+    if task.seed is not None:
+        random.seed(task.seed)
+    return task.fn(*task.args)
+
 
 #: Worker-side shared-state store for the *process* kind, filled by the
 #: pool initializer.  A worker process belongs to exactly one pool, so a
@@ -78,9 +135,9 @@ POOL_KINDS = ("thread", "process")
 #: process and use the thread-local active store below instead.
 _WORKER_SHARED: Dict[str, object] = {}
 
-#: Thread-kind active store: each worker thread sees the broadcast store of
-#: the pool whose ``run()`` it is currently executing (installed around the
-#: worker loop, restored on exit), so concurrent pools stay isolated and a
+#: Thread-kind active store: each thread sees the broadcast store of the
+#: pool whose ``run()`` it is currently executing (installed around the
+#: drain loop, restored on exit), so concurrent pools stay isolated and a
 #: pool's payloads vanish with it instead of leaking into later pools.
 _THREAD_SHARED = threading.local()
 
@@ -96,12 +153,10 @@ def _install_shared(payloads: Mapping[str, object]) -> None:
 
 
 def shared_state(key: str) -> object:
-    """Look up a broadcast payload inside a worker (or the coordinator).
+    """Look up a broadcast payload inside a task.
 
-    Task functions call this instead of carrying the payload in their
-    ``args``, shrinking per-task pickles to identifiers.  Resolution order:
-    the running thread pool's own store (thread kind), then the process
-    worker store (process kind).
+    Resolution order: the running thread pool's own store (thread kind),
+    then the process worker store (process kind).
     """
     store = getattr(_THREAD_SHARED, "store", None)
     if store is not None and key in store:
@@ -116,31 +171,19 @@ def shared_state(key: str) -> object:
         ) from None
 
 
-class WorkerPool(_FrontierBackend):
-    """A persistent execution backend: one live pool, many ``run()`` calls.
+class WorkerPool:
+    """The executor every fan-out runs on (see the module docstring).
 
     Parameters
     ----------
     kind:
-        ``"process"`` (a :class:`ProcessPoolExecutor`; task payloads must
-        pickle, per-host rate limiting is refused) or ``"thread"`` (the
-        frontier-draining thread semantics over a persistent
-        :class:`ThreadPoolExecutor`).  :attr:`name` mirrors the kind so
-        string-based backend checks keep working.
+        ``"thread"`` or ``"process"``.
     workers:
-        Pool size (floored at 1).  Unlike the cold backends, the executor
-        is sized once — not per batch — so small batches reuse the same
-        warm workers as large ones.
+        Pool size (floored at 1; ``1`` runs thread-kind batches inline).
     start_method:
         Process start method (``"fork"``/``"spawn"``/``None`` for the
-        platform default); ignored by the thread kind.
-    shared:
-        Initial broadcast payloads (equivalent to calling
-        :meth:`broadcast` per entry before the first run).
-    max_task_attempts:
-        Submission attempts per task across :class:`BrokenProcessPool`
-        rebuilds before the task is reported as a failed outcome.  Floored
-        at 1; the default tolerates a crashing neighbor twice.
+        platform default); ignored by the thread kind.  Results are
+        identical across start methods.
     """
 
     def __init__(
@@ -148,58 +191,34 @@ class WorkerPool(_FrontierBackend):
         kind: str = "process",
         workers: int = 1,
         start_method: Optional[str] = None,
-        rate_limiter: Optional[RateLimiter] = None,
-        queue_factory: Callable[[], TaskQueue] = FIFOTaskQueue,
-        shared: Optional[Mapping[str, object]] = None,
-        max_task_attempts: int = 3,
     ) -> None:
         if kind not in POOL_KINDS:
-            raise ValueError(
-                f"unknown pool kind {kind!r}; known: {', '.join(POOL_KINDS)}"
-            )
-        if kind == "process" and rate_limiter is not None:
-            raise ValueError(
-                "a process WorkerPool cannot enforce a shared rate limiter; "
-                "token buckets cannot span processes — use kind='thread' for "
-                "rate-limited work"
-            )
-        super().__init__(rate_limiter=rate_limiter, queue_factory=queue_factory)
+            raise ValueError(f"unknown pool kind {kind!r}; known: {', '.join(POOL_KINDS)}")
         self.kind = kind
-        self.name = kind
         self.workers = max(1, workers)
         self.start_method = start_method
-        self.max_task_attempts = max(1, max_task_attempts)
-        self._shared: Dict[str, object] = dict(shared or {})
-        self._executor = None
+        self._shared: Dict[str, object] = {}
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._dirty = False
         self._closed = False
 
-    # ------------------------------------------------------------------
     @property
     def is_process(self) -> bool:
         """Whether tasks cross a process boundary (payloads must pickle)."""
         return self.kind == "process"
 
-    def handle(self) -> "PoolHandle":
-        """A non-owning view to lend to consumers (their close is a no-op)."""
-        return PoolHandle(self)
-
     def broadcast(self, key: str, payload: object) -> "WorkerPool":
-        """Register a shared payload workers read via :func:`shared_state`.
+        """Register a shared payload tasks read via :func:`shared_state`.
 
-        Process kind: the payload ships to each worker exactly once via
-        the pool initializer.  Re-broadcasting the *same object* under an
-        existing key is free; a different object marks the pool dirty and
-        the next :meth:`run` restarts the executor with the update.
-        Thread kind: the pool's own store updates immediately (shared
-        memory, no restart); worker threads see it — and only it — while
-        running this pool's tasks.
+        Re-broadcasting the *same object* under an existing key is free; on
+        the process kind a different object marks the pool dirty and the
+        next :meth:`run` restarts the executor with the update.
         """
         self._require_open()
         if key in self._shared and self._shared[key] is payload:
             return self
         self._shared[key] = payload
-        if self.kind == "process" and self._executor is not None:
+        if self._executor is not None:
             self._dirty = True
         return self
 
@@ -226,28 +245,23 @@ class WorkerPool(_FrontierBackend):
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def _ensure_executor(self):
+    def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._dirty:
             # A broadcast changed after spawn: initializers cannot reach
             # live workers, so restart the pool to re-install shared state.
             self._discard_executor()
             self._dirty = False
         if self._executor is None:
-            if self.kind == "process":
-                kwargs = {
-                    "max_workers": self.workers,
-                    "initializer": _install_shared,
-                    "initargs": (dict(self._shared),),
-                }
-                if self.start_method is not None:
-                    import multiprocessing
+            kwargs = {
+                "max_workers": self.workers,
+                "initializer": _install_shared,
+                "initargs": (dict(self._shared),),
+            }
+            if self.start_method is not None:
+                import multiprocessing
 
-                    kwargs["mp_context"] = multiprocessing.get_context(
-                        self.start_method
-                    )
-                self._executor = ProcessPoolExecutor(**kwargs)
-            else:
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
+                kwargs["mp_context"] = multiprocessing.get_context(self.start_method)
+            self._executor = ProcessPoolExecutor(**kwargs)
         return self._executor
 
     # ------------------------------------------------------------------
@@ -257,71 +271,24 @@ class WorkerPool(_FrontierBackend):
         on_result: Optional[Callable[[ExecOutcome], None]] = None,
         keep_results: bool = True,
     ) -> List[ExecOutcome]:
+        """Run a batch; outcomes come back in submission order.
+
+        ``on_result`` is called once per completed task in *completion*
+        order, serialized (never concurrently); only the returned list is
+        deterministic under parallelism.  With ``keep_results=False`` a
+        task's result is handed to ``on_result`` and then dropped from its
+        outcome, so a caller streaming large payloads to disk holds one
+        task's payload at a time.  A ``KeyboardInterrupt`` raised by a task
+        (or an exception from ``on_result``) aborts the batch and propagates
+        once in-flight work has wound down, so incremental checkpoints stay
+        consistent.
+        """
         self._require_open()
         task_list = list(tasks)
         keys = _check_unique_keys(task_list)
         if not task_list:
             return []
-        if self.kind == "thread":
-            return self._run_threads(task_list, keys, on_result, keep_results)
-        return self._run_process(task_list, keys, on_result, keep_results)
-
-    def _run_threads(
-        self,
-        task_list: List[ExecTask],
-        keys: List[str],
-        on_result: Optional[Callable[[ExecOutcome], None]],
-        keep_results: bool,
-    ) -> List[ExecOutcome]:
-        self._stop.clear()
         outcomes: Dict[str, ExecOutcome] = {}
-        queue = self.queue_factory()
-        for task in task_list:
-            queue.push(task)
-        if self.workers <= 1:
-            self._scoped_worker_loop(queue, outcomes, on_result, keep_results)
-        else:
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(
-                    self._scoped_worker_loop, queue, outcomes, on_result, keep_results
-                )
-                for _ in range(self.workers)
-            ]
-            try:
-                for future in futures:
-                    # Surface worker crashes (queue/callback bugs); task
-                    # exceptions are already folded into outcomes.
-                    future.result()
-            finally:
-                # The cold ThreadBackend's ``with`` block joins every
-                # worker before a crash propagates (keeps incremental
-                # checkpoints consistent); a persistent executor must
-                # wind the siblings down explicitly.
-                wait(futures)
-        return [outcomes[key] for key in keys]
-
-    def _scoped_worker_loop(self, queue, outcomes, on_result, keep_results) -> None:
-        """Run the frontier loop with this pool's store as the thread's
-        active shared state (restored on exit, so nested or successive
-        pools on the same thread never see a stale store)."""
-        previous = getattr(_THREAD_SHARED, "store", None)
-        _THREAD_SHARED.store = self._shared
-        try:
-            self._worker_loop(queue, outcomes, on_result, keep_results)
-        finally:
-            _THREAD_SHARED.store = previous
-
-    def _run_process(
-        self,
-        task_list: List[ExecTask],
-        keys: List[str],
-        on_result: Optional[Callable[[ExecOutcome], None]],
-        keep_results: bool,
-    ) -> List[ExecOutcome]:
-        outcomes: Dict[str, ExecOutcome] = {}
-        pending: Dict[str, ExecTask] = {task.key: task for task in task_list}
-        attempts: Dict[str, int] = {task.key: 0 for task in task_list}
 
         def settle(outcome: ExecOutcome) -> None:
             if on_result is not None:
@@ -329,6 +296,63 @@ class WorkerPool(_FrontierBackend):
                 if not keep_results:
                     outcome.result = None
             outcomes[outcome.key] = outcome
+
+        if self.kind == "thread":
+            self._run_threads(task_list, settle)
+        else:
+            self._run_process(task_list, settle)
+        return [outcomes[key] for key in keys]
+
+    def _run_threads(
+        self, task_list: List[ExecTask], settle: Callable[[ExecOutcome], None]
+    ) -> None:
+        pending: Iterator[ExecTask] = iter(task_list)
+        take_lock = threading.Lock()
+        settle_lock = threading.Lock()
+        stop = threading.Event()
+
+        def drain() -> None:
+            # This pool's store is the thread's active shared state for the
+            # duration of the loop (restored on exit, so nested or
+            # successive pools on the same thread never see a stale store).
+            previous = getattr(_THREAD_SHARED, "store", None)
+            _THREAD_SHARED.store = self._shared
+            try:
+                while not stop.is_set():
+                    with take_lock:
+                        task = next(pending, None)
+                    if task is None:
+                        return
+                    outcome = _execute(task)
+                    with settle_lock:
+                        settle(outcome)
+            except BaseException:
+                # A KeyboardInterrupt from a task or a bug in on_result
+                # aborts the batch: stop sibling threads, then re-raise.
+                stop.set()
+                raise
+            finally:
+                _THREAD_SHARED.store = previous
+
+        n_threads = min(self.workers, len(task_list))
+        if n_threads <= 1:
+            drain()
+            return
+        with ThreadPoolExecutor(max_workers=n_threads) as executor:
+            futures = [executor.submit(drain) for _ in range(n_threads)]
+            for future in futures:
+                # Task exceptions are already folded into outcomes; this
+                # surfaces aborts after every thread has been joined.
+                future.result()
+
+    def _run_process(
+        self, task_list: List[ExecTask], settle: Callable[[ExecOutcome], None]
+    ) -> None:
+        pending: Dict[str, ExecTask] = {task.key: task for task in task_list}
+        attempts: Dict[str, int] = {task.key: 0 for task in task_list}
+
+        def finish(outcome: ExecOutcome) -> None:
+            settle(outcome)
             pending.pop(outcome.key, None)
 
         while pending:
@@ -348,15 +372,15 @@ class WorkerPool(_FrontierBackend):
                     for future in done:
                         key = futures[future]
                         try:
-                            settle(ExecOutcome(key=key, result=future.result()))
+                            finish(ExecOutcome(key=key, result=future.result()))
                         except BrokenProcessPool as exc:
                             # A worker died; the whole pool is poisoned.
                             # Unattributable — every in-flight task retries
                             # on a rebuilt pool (the initializer re-installs
-                            # shared state) up to max_task_attempts.
+                            # shared state) up to MAX_TASK_ATTEMPTS.
                             broken = True
-                            if attempts[key] >= self.max_task_attempts:
-                                settle(
+                            if attempts[key] >= MAX_TASK_ATTEMPTS:
+                                finish(
                                     ExecOutcome(
                                         key=key,
                                         error=(
@@ -366,7 +390,7 @@ class WorkerPool(_FrontierBackend):
                                     )
                                 )
                         except Exception as exc:  # noqa: BLE001 - outcomes carry it
-                            settle(
+                            finish(
                                 ExecOutcome(key=key, error=f"{type(exc).__name__}: {exc}")
                             )
             except BaseException:
@@ -379,64 +403,19 @@ class WorkerPool(_FrontierBackend):
                 raise
             if broken:
                 self._discard_executor()
-        return [outcomes[key] for key in keys]
 
 
-class PoolHandle(ExecutionBackend):
-    """A non-owning view of a :class:`WorkerPool`.
+def make_pool(backend: Optional[str] = None, workers: int = 0) -> WorkerPool:
+    """A new pool for a backend name (the caller owns and closes it).
 
-    Forwards the execution contract (and :meth:`broadcast`) to the pool it
-    wraps, but :meth:`close` is a no-op — hand one to a consumer whose
-    cleanup must not tear down workers the owner is still reusing.
+    ``"serial"`` is a one-worker (inline) thread pool, ``"thread"`` and
+    ``"process"`` are pools of that kind with ``workers`` workers, and
+    ``None`` is inline at ``workers <= 1`` and threads above.
     """
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self._pool = pool
-        self.name = pool.name
-        self.workers = pool.workers
-
-    @property
-    def pool(self) -> WorkerPool:
-        """The owning pool behind this handle."""
-        return self._pool
-
-    @property
-    def is_process(self) -> bool:
-        return self._pool.is_process
-
-    def broadcast(self, key: str, payload: object) -> "PoolHandle":
-        self._pool.broadcast(key, payload)
-        return self
-
-    def run(
-        self,
-        tasks: Sequence[ExecTask],
-        on_result: Optional[Callable[[ExecOutcome], None]] = None,
-        keep_results: bool = True,
-    ) -> List[ExecOutcome]:
-        return self._pool.run(tasks, on_result=on_result, keep_results=keep_results)
-
-    def close(self) -> None:
-        """No-op: the owning :class:`WorkerPool` controls the lifecycle."""
-
-    def __enter__(self) -> "PoolHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def resolve_pool(
-    backend: Union[str, ExecutionBackend, None],
-) -> Optional[WorkerPool]:
-    """The :class:`WorkerPool` behind a backend spec, unwrapping handles.
-
-    Returns ``None`` for names, cold backends, and ``None`` — callers use
-    this to route onto the broadcast/shared-state path only when a warm
-    pool is actually present.
-    """
-    if isinstance(backend, PoolHandle):
-        return backend.pool
-    if isinstance(backend, WorkerPool):
-        return backend
-    return None
+    if backend is not None and backend not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown execution backend {backend!r}; known: {', '.join(BACKEND_NAMES)}"
+        )
+    if backend == "serial":
+        return WorkerPool(kind="thread", workers=1)
+    return WorkerPool(kind=backend or "thread", workers=workers)

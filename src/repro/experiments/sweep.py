@@ -13,10 +13,9 @@ This module provides that layer:
 * :func:`expand_grid` — expands scenario names × seed count into
   :class:`SweepCell` work units;
 * :class:`SweepRunner` — runs one full :class:`MeasurementSuite` pipeline
-  per cell, scheduled concurrently on the crawl engine's worker pool
-  (:class:`~repro.crawler.engine.CrawlEngine` — the same frontier/pool
-  abstraction the crawl stages use, not a second ad-hoc pool), with every
-  intermediate product (crawled corpus, classification, per-experiment
+  per cell, scheduled concurrently on a :class:`~repro.exec.WorkerPool`
+  (the same executor the crawl stages use, not a second ad-hoc pool), with
+  every intermediate product (crawled corpus, classification, per-experiment
   results) persisted in a content-addressed
   :class:`~repro.io.artifacts.ArtifactStore` keyed by configuration
   fingerprints.  Re-running a sweep recomputes only the cells whose
@@ -41,15 +40,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.suite import MeasurementSuite, SuiteConfig
-from repro.crawler.engine import CrawlEngine, CrawlTask
 from repro.ecosystem.config import EcosystemConfig
-from repro.exec import (
-    ExecutionBackend,
-    ProcessBackend,
-    WorkerPool,
-    resolve_pool,
-    shared_state,
-)
+from repro.exec import ExecTask, WorkerPool, make_pool, shared_state
 from repro.experiments.registry import EXPERIMENTS
 from repro.io import (
     ArtifactStore,
@@ -607,44 +599,28 @@ def _execute_cell(
     )
 
 
-def _execute_cell_task(
-    cell: SweepCell,
-    experiment_ids: Sequence[str],
-    store_root: Optional[str],
-    shards: int,
-    shard_workers: int,
-) -> CellResult:
-    """Process-backend cell entry point: rebuild the store from its path.
-
-    :class:`ArtifactStore` holds a lock and therefore doesn't pickle; the
-    store is content-addressed and its writes are atomic (temp names carry
-    the pid), so per-process instances over the same directory compose —
-    cache hits and resume behave identically, only the coordinator's
-    hit/miss counters stay local to each process.
-    """
-    store = ArtifactStore(store_root) if store_root is not None else None
-    return _execute_cell(cell, list(experiment_ids), store, shards, shard_workers)
-
-
 #: Broadcast key for the sweep-invariant cell context (experiment set,
-#: store path, shard knobs) on a warm worker pool.
+#: store path, shard knobs) on a process pool.
 SWEEP_CTX_KEY = "sweep/cell-context"
 
 
 def _execute_cell_shared(cell: SweepCell) -> CellResult:
-    """Warm-pool cell entry point: per-task payload is the cell alone.
+    """Process-pool cell entry point: per-task payload is the cell alone.
 
     The run-invariant context ships once per worker via the pool
     initializer; workers stay warm across cells (and across repeated
     ``run()`` calls, since the runner broadcasts the same context object).
+    :class:`ArtifactStore` holds a lock and therefore doesn't pickle, so the
+    worker rebuilds it from its path; the store is content-addressed and
+    its writes are atomic (temp names carry the pid), so per-process
+    instances over the same directory compose — cache hits and resume
+    behave identically, only the coordinator's hit/miss counters stay local
+    to each process.
     """
     ctx = shared_state(SWEEP_CTX_KEY)
-    return _execute_cell_task(
-        cell,
-        ctx["experiment_ids"],
-        ctx["store_root"],
-        ctx["shards"],
-        ctx["shard_workers"],
+    store = ArtifactStore(ctx["store_root"]) if ctx["store_root"] is not None else None
+    return _execute_cell(
+        cell, list(ctx["experiment_ids"]), store, ctx["shards"], ctx["shard_workers"]
     )
 
 
@@ -675,20 +651,23 @@ class SweepRunner:
         between sharded and unsharded runs of the same grid.
     backend:
         Execution backend for the **cell scheduler** (``"serial"`` /
-        ``"thread"`` / ``"process"``, an instance, or ``None`` for the
-        worker-count default).  The process backend sidesteps the GIL for
-        the pure-Python cell pipelines; cells rebuild per-process
-        :class:`ArtifactStore` views over the same directory, so caching
-        and resume are unchanged (coordinator hit/miss counters excepted).
+        ``"thread"`` / ``"process"``, a borrowed
+        :class:`~repro.exec.WorkerPool`, or ``None`` for the worker-count
+        default).  The process kind sidesteps the GIL for the pure-Python
+        cell pipelines; cells rebuild per-process :class:`ArtifactStore`
+        views over the same directory, so caching and resume are unchanged
+        (coordinator hit/miss counters excepted).  On threads cells run
+        in-process against the runner's own store.
         Cells themselves never inherit this knob — their internal shard
         fan-out stays on the worker-count default so pools don't nest; use
         ``Scenario.suite_overrides['backend']`` to pick a cell-internal
         backend.  Another post-fingerprint execution knob: results are
         byte-identical across backends and share cache entries.
-        ``"process"`` builds one warm :class:`~repro.exec.WorkerPool` for
-        the runner's lifetime — workers stay warm across cells and across
-        repeated ``run()`` calls; close the runner (or use it as a
-        context manager) to release them.
+        A name builds a pool for the runner's lifetime — with
+        ``"process"``, workers stay warm across cells and across repeated
+        ``run()`` calls; close the runner (or use it as a context manager)
+        to release them, after which it cannot run again.  A
+        ``WorkerPool`` is borrowed and never closed here.
     """
 
     def __init__(
@@ -699,7 +678,7 @@ class SweepRunner:
         experiment_ids: Optional[Sequence[str]] = None,
         shards: int = 0,
         shard_workers: int = 0,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: Union[str, WorkerPool, None] = None,
     ) -> None:
         self.cells = list(cells)
         ids = [cell.cell_id for cell in self.cells]
@@ -712,14 +691,17 @@ class SweepRunner:
             raise ValueError(f"unknown experiment id(s): {', '.join(sorted(unknown))}")
         self.shards = max(0, shards)
         self.shard_workers = max(0, shard_workers)
-        self.backend = backend
         self._owned_pool: Optional[WorkerPool] = None
-        if backend == "process":
-            # One warm pool for the runner's lifetime: workers stay up
-            # across cells and across repeated run() calls (resume).
-            self._owned_pool = WorkerPool(kind="process", workers=max(1, workers))
-            backend = self._owned_pool
-        self.engine = CrawlEngine(workers=workers, backend=backend)
+        if isinstance(backend, WorkerPool):
+            self.pool = backend
+        else:
+            # One pool for the runner's lifetime: process workers stay up
+            # across cells and across repeated run() calls (resume).  Only
+            # a process pool holds workers to release; a thread pool holds
+            # nothing between runs, so close() leaves the runner usable.
+            self.pool = make_pool(backend, workers)
+            if self.pool.is_process:
+                self._owned_pool = self.pool
         #: Run-invariant context broadcast to warm workers — built once so
         #: repeated run() calls re-broadcast the same object (no pool
         #: restart between runs).
@@ -755,37 +737,17 @@ class SweepRunner:
     def run(self) -> SweepResult:
         """Run every cell; results come back in grid (submission) order."""
         start = time.monotonic()
-        pool = resolve_pool(self.engine.backend)
-        if pool is not None and pool.is_process:
-            # Warm path: the invariant context ships once per worker via
-            # the pool initializer; each task pickles only its cell.
-            pool.broadcast(SWEEP_CTX_KEY, self._cell_context)
-            tasks = [
-                CrawlTask(key=cell.cell_id, fn=_execute_cell_shared, args=(cell,))
-                for cell in self.cells
-            ]
-        elif isinstance(self.engine.backend, ProcessBackend):
-            store_root = str(self.store.root) if self.store is not None else None
-            tasks = [
-                CrawlTask(
-                    key=cell.cell_id,
-                    fn=_execute_cell_task,
-                    args=(
-                        cell,
-                        tuple(self.experiment_ids),
-                        store_root,
-                        self.shards,
-                        self.shard_workers,
-                    ),
-                )
-                for cell in self.cells
-            ]
+        if self.pool.is_process:
+            # The invariant context ships once per worker via the pool
+            # initializer; each task pickles only its cell.
+            self.pool.broadcast(SWEEP_CTX_KEY, self._cell_context)
+            run_cell = _execute_cell_shared
         else:
-            tasks = [
-                CrawlTask(key=cell.cell_id, fn=lambda c=cell: self._run_cell(c))
-                for cell in self.cells
-            ]
-        outcomes = self.engine.run(tasks)
+            # In-process: cells share this runner's ArtifactStore, so its
+            # hit/miss counters count every cell.
+            run_cell = self._run_cell
+        tasks = [ExecTask(key=cell.cell_id, fn=run_cell, args=(cell,)) for cell in self.cells]
+        outcomes = self.pool.run(tasks)
         results: List[CellResult] = []
         for outcome in outcomes:
             if not outcome.ok:
@@ -808,7 +770,7 @@ def run_sweep(
     experiment_ids: Optional[Sequence[str]] = None,
     shards: int = 0,
     shard_workers: int = 0,
-    backend: Union[str, ExecutionBackend, None] = None,
+    backend: Union[str, WorkerPool, None] = None,
 ) -> SweepResult:
     """Convenience wrapper: expand a grid, build the store, run the sweep."""
     cells = expand_grid(scenario_names, n_seeds, base_seed=base_seed, n_gpts=n_gpts)

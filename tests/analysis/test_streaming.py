@@ -269,6 +269,42 @@ class TestWarmPoolStreaming:
         )
         assert again["multi_action"] == analyze_multi_action(small_corpus)
 
+    def test_borrowed_pool_outlives_runner_close_and_sweep_exit(
+        self, shard_store, small_corpus
+    ):
+        """Consumers borrow a pool they were handed: neither
+        ``ShardAnalysisRunner.close()`` nor leaving a ``SweepRunner``
+        ``with`` block closes it, and it keeps running work afterwards."""
+        from repro.exec import ExecTask, WorkerPool
+        from repro.experiments.sweep import SweepRunner, expand_grid
+
+        with WorkerPool(kind="process", workers=1) as pool:
+            runner = ShardAnalysisRunner(shard_store, backend=pool)
+            stats = runner.run(["crawl_stats"])["crawl_stats"]
+            runner.close()
+            assert not pool._closed
+            assert runner.run(["crawl_stats"])["crawl_stats"] == stats
+            with SweepRunner(expand_grid(["baseline"], 1, n_gpts=20), backend=pool):
+                pass
+            assert not pool._closed
+            assert pool.run([ExecTask(key="alive", fn=len, args=("ok",))])[0].result == 2
+        assert stats == analyze_crawl_stats(small_corpus)
+
+    @pytest.mark.parametrize("backend", [None, "serial", "thread"])
+    def test_thread_runner_usable_after_close(self, shard_store, small_corpus, backend):
+        """A thread pool built from a name holds nothing to release, so
+        closing the runner leaves it usable; only process pools are owned."""
+        from repro.experiments.sweep import SweepRunner, expand_grid
+
+        runner = ShardAnalysisRunner(shard_store, workers=2, backend=backend)
+        runner.close()
+        stats = runner.run(["crawl_stats"])["crawl_stats"]
+        assert stats == analyze_crawl_stats(small_corpus)
+        cells = expand_grid(["baseline"], 1, n_gpts=20)
+        with SweepRunner(cells, workers=2, backend=backend) as sweep:
+            pass
+        assert not sweep.pool._closed
+
 
 class TestShardedSuite:
     """MeasurementSuite with shards > 0 routes analyses through streaming."""

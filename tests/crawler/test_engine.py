@@ -1,39 +1,15 @@
-"""Tests for the frontier scheduler, task queues, and rate limiting."""
+"""Tests for the crawl's per-host politeness limits (token buckets).
 
-import threading
+The limiter lives in :mod:`repro.crawler.transport`, which consults it
+before every request attempt; the transport-level behavior is covered in
+``test_transport.py``.
+"""
+
 import time
 
 import pytest
 
-from repro.crawler.engine import (
-    CrawlEngine,
-    CrawlTask,
-    FIFOTaskQueue,
-    HostRateLimiter,
-    LIFOTaskQueue,
-    TokenBucket,
-)
-
-
-class TestTaskQueues:
-    def test_fifo_order(self):
-        queue = FIFOTaskQueue()
-        for key in "abc":
-            queue.push(CrawlTask(key=key, fn=lambda: None))
-        assert [queue.pop().key for _ in range(3)] == ["a", "b", "c"]
-        assert queue.pop() is None
-
-    def test_lifo_order(self):
-        queue = LIFOTaskQueue()
-        for key in "abc":
-            queue.push(CrawlTask(key=key, fn=lambda: None))
-        assert [queue.pop().key for _ in range(3)] == ["c", "b", "a"]
-
-    def test_len(self):
-        queue = FIFOTaskQueue()
-        assert len(queue) == 0
-        queue.push(CrawlTask(key="a", fn=lambda: None))
-        assert len(queue) == 1
+from repro.crawler.transport import HostRateLimiter, TokenBucket
 
 
 class TestTokenBucket:
@@ -83,130 +59,3 @@ class TestHostRateLimiter:
 
     def test_none_host_is_noop(self):
         HostRateLimiter(default_rate=0.001).acquire(None)
-
-
-class TestCrawlEngine:
-    def _tasks(self, n, fn=None):
-        return [CrawlTask(key=f"t{i}", fn=(lambda i=i: i * i) if fn is None else fn)
-                for i in range(n)]
-
-    def test_sequential_run(self):
-        engine = CrawlEngine(workers=0)
-        outcomes = engine.run(self._tasks(5))
-        assert [outcome.key for outcome in outcomes] == [f"t{i}" for i in range(5)]
-        assert [outcome.result for outcome in outcomes] == [0, 1, 4, 9, 16]
-        assert all(outcome.ok for outcome in outcomes)
-
-    def test_concurrent_results_in_submission_order(self):
-        # Tasks sleep in reverse proportion to their index, so completion
-        # order is roughly reversed — the outcome list must not be.
-        def make(i):
-            def fn():
-                time.sleep((5 - i) * 0.002)
-                return i
-            return fn
-
-        tasks = [CrawlTask(key=f"t{i}", fn=make(i)) for i in range(5)]
-        outcomes = CrawlEngine(workers=5).run(tasks)
-        assert [outcome.result for outcome in outcomes] == list(range(5))
-
-    def test_concurrency_actually_overlaps(self):
-        barrier = threading.Barrier(4, timeout=5)
-
-        def fn():
-            barrier.wait()
-            return True
-
-        # Four tasks that only finish if all run at the same time.
-        tasks = [CrawlTask(key=f"t{i}", fn=fn) for i in range(4)]
-        outcomes = CrawlEngine(workers=4).run(tasks)
-        assert all(outcome.result for outcome in outcomes)
-
-    def test_task_exception_captured_as_outcome(self):
-        def boom():
-            raise ValueError("nope")
-
-        outcomes = CrawlEngine(workers=2).run(
-            [CrawlTask(key="ok", fn=lambda: 1), CrawlTask(key="bad", fn=boom)]
-        )
-        by_key = {outcome.key: outcome for outcome in outcomes}
-        assert by_key["ok"].ok and by_key["ok"].result == 1
-        assert not by_key["bad"].ok
-        assert "ValueError" in by_key["bad"].error
-
-    def test_duplicate_keys_rejected(self):
-        engine = CrawlEngine()
-        with pytest.raises(ValueError):
-            engine.run([CrawlTask(key="x", fn=lambda: 1), CrawlTask(key="x", fn=lambda: 2)])
-
-    def test_on_result_called_per_completion(self):
-        seen = []
-        engine = CrawlEngine(workers=3, on_result=lambda outcome: seen.append(outcome.key))
-        engine.run(self._tasks(7))
-        assert sorted(seen) == sorted(f"t{i}" for i in range(7))
-
-    def test_keyboard_interrupt_aborts_batch(self):
-        started = []
-
-        def interrupting(i):
-            def fn():
-                started.append(i)
-                if i == 0:
-                    raise KeyboardInterrupt
-                time.sleep(0.01)
-                return i
-            return fn
-
-        tasks = [CrawlTask(key=f"t{i}", fn=interrupting(i)) for i in range(50)]
-        with pytest.raises(KeyboardInterrupt):
-            CrawlEngine(workers=2).run(tasks)
-        # The stop flag must prevent the queue from fully draining.
-        assert len(started) < 50
-
-    def test_statistics(self):
-        engine = CrawlEngine(workers=2)
-        engine.run(self._tasks(4))
-        assert engine.statistics.n_tasks == 4
-        assert engine.statistics.n_completed == 4
-        assert engine.statistics.n_failed == 0
-        assert engine.statistics.wall_time_s > 0
-
-    def test_rate_limited_engine_still_completes(self):
-        limiter = HostRateLimiter(rates={"polite.example": 500.0})
-        tasks = [
-            CrawlTask(key=f"t{i}", fn=lambda i=i: i, host="polite.example")
-            for i in range(5)
-        ]
-        outcomes = CrawlEngine(workers=3, rate_limiter=limiter).run(tasks)
-        assert [outcome.result for outcome in outcomes] == list(range(5))
-
-    def test_lifo_queue_factory(self):
-        order = []
-        lock = threading.Lock()
-
-        def tracked(i):
-            def fn():
-                with lock:
-                    order.append(i)
-                return i
-            return fn
-
-        tasks = [CrawlTask(key=f"t{i}", fn=tracked(i)) for i in range(6)]
-        # workers=2 with a LIFO frontier: the last-pushed tasks run first.
-        CrawlEngine(workers=2, queue_factory=LIFOTaskQueue).run(tasks)
-        assert sorted(order) == list(range(6))
-        assert order[0] >= 4  # one of the last-pushed tasks started first
-
-    def test_sequential_run_honors_queue_factory(self):
-        order = []
-
-        def tracked(i):
-            def fn():
-                order.append(i)
-                return i
-            return fn
-
-        tasks = [CrawlTask(key=f"t{i}", fn=tracked(i)) for i in range(4)]
-        outcomes = CrawlEngine(workers=0, queue_factory=LIFOTaskQueue).run(tasks)
-        assert order == [3, 2, 1, 0]  # executed depth-first even inline
-        assert [outcome.result for outcome in outcomes] == [0, 1, 2, 3]  # merged in submission order

@@ -17,7 +17,7 @@ from repro.crawler.pipeline import CrawlPipeline
 from repro.crawler.transport import TransportConfig
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import EcosystemGenerator
-from repro.exec import ProcessBackend
+from repro.exec import WorkerPool
 from repro.io import canonical_json, corpus_to_payload, policies_to_payload
 from repro.io.shards import ShardedCorpusStore
 
@@ -93,12 +93,9 @@ class TestShardedCrawlByteIdentity:
     def test_fork_and_spawn_agree(self, ecosystem, reference, tmp_path):
         fingerprints = {}
         for method in ("fork", "spawn"):
-            pipeline = _pipeline(
-                ecosystem,
-                shards=SHARDS,
-                backend=ProcessBackend(workers=2, start_method=method),
-            )
-            store = pipeline.run_sharded(tmp_path / method)
+            with WorkerPool(kind="process", workers=2, start_method=method) as pool:
+                pipeline = _pipeline(ecosystem, shards=SHARDS, backend=pool)
+                store = pipeline.run_sharded(tmp_path / method)
             fingerprints[method] = store.fingerprint()
             assert _store_identity(store, reference)
         assert fingerprints["fork"] == fingerprints["spawn"]
@@ -114,7 +111,7 @@ class TestWarmPoolCrawl:
         """Two full sharded crawls on ONE borrowed pool: both byte-identical
         to the reference, and the pool is still open afterwards (a borrowed
         instance is never closed by the pipeline)."""
-        from repro.exec import ExecTask, WorkerPool
+        from repro.exec import ExecTask
 
         with WorkerPool(kind="process", workers=2) as pool:
             for run in ("first", "second"):
@@ -129,23 +126,11 @@ class TestWarmPoolCrawl:
         """backend="process" makes the pipeline build its own warm pool and
         tear it down when run_sharded returns — no leaked worker processes."""
         pipeline = _pipeline(ecosystem, shards=SHARDS, backend="process", workers=2)
-        pool = pipeline._shard_backend()  # the lazily built owned pool
+        pool = pipeline._shard_pool()  # the lazily built owned pool
         assert pipeline._owned_pool is pool
         pipeline.run_sharded(tmp_path / "owned")
         assert pool._closed
         assert pipeline._owned_pool is None
-
-    @pytest.mark.process_smoke
-    def test_pool_handle_borrow_byte_identical(self, ecosystem, reference, tmp_path):
-        """A non-owning PoolHandle works as a pipeline backend; the handle's
-        close (run by consumer cleanup) leaves the owner's workers alive."""
-        from repro.exec import WorkerPool
-
-        with WorkerPool(kind="process", workers=2) as pool:
-            pipeline = _pipeline(ecosystem, shards=SHARDS, backend=pool.handle())
-            store = pipeline.run_sharded(tmp_path / "handle")
-            assert _store_identity(store, reference)
-            assert not pool._closed
 
 
 class TestCompatibilityMerge:
@@ -277,7 +262,7 @@ class TestShardedCrawlResume:
             mismatched.run_sharded(tmp_path / "b")
 
 
-class TestProcessBackendRequirements:
+class TestProcessKindRequirements:
     def test_process_backend_requires_ecosystem(self, ecosystem, tmp_path):
         pipeline = _pipeline(ecosystem, shards=2, backend="process")
         pipeline.ecosystem = None  # simulate a hand-wired pipeline

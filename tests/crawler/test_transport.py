@@ -139,7 +139,7 @@ class TestRetryingTransport:
     def test_rate_limiter_consulted_per_attempt(self):
         import time
 
-        from repro.crawler.engine import HostRateLimiter
+        from repro.crawler.transport import HostRateLimiter
 
         http, url = _flaky_layer(seed=0, rate=1.0)
         transport = RetryingTransport(

@@ -1,35 +1,22 @@
-"""Tests for the pluggable execution backends (serial / thread / process).
+"""Tests for the execution contract on every backend name (serial / thread / process).
 
-The contract under test: outcomes merge in submission order on every
-backend, per-task exceptions become outcomes (not raises), ``on_result``
-streams completions serially, and the process backend's per-task RNG
-re-seeding makes fork and spawn start methods agree byte for byte.
-
-``REPRO_TEST_BACKEND`` (see ``make test-process``) overrides the backend the
-marked smoke tests run on, so CI exercises the process pool explicitly.
+The contract under test: outcomes merge in submission order on every kind
+of :class:`WorkerPool`, per-task exceptions become outcomes (not raises),
+``on_result`` streams completions serially, a thread-kind run holds no
+threads once it returns, and the process kind's per-task RNG re-seeding
+makes fork and spawn start methods agree byte for byte.
 """
 
 from __future__ import annotations
 
-import os
 import random
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.exec import (
-    BACKEND_NAMES,
-    ExecTask,
-    LIFOTaskQueue,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    get_backend,
-)
-
-#: Backend the smoke subset runs on (`make test-process` sets "process").
-SMOKE_BACKEND = os.environ.get("REPRO_TEST_BACKEND", "thread")
+from repro.exec import BACKEND_NAMES, ExecTask, WorkerPool, make_pool
 
 
 def _square(value):
@@ -41,7 +28,7 @@ def _boom():
 
 
 def _seeded_draw(n):
-    """Draw from the module-level RNG — only deterministic if the backend
+    """Draw from the module-level RNG — only deterministic if the pool
     re-seeded it from the task payload."""
     return [random.random() for _ in range(n)]
 
@@ -50,21 +37,33 @@ def _tasks(n):
     return [ExecTask(key=f"t{i}", fn=_square, args=(i,)) for i in range(n)]
 
 
+@pytest.fixture
+def pool_for():
+    """Build pools by backend name and close them after the test."""
+    pools = []
+
+    def build(name, workers=2):
+        pools.append(make_pool(name, workers))
+        return pools[-1]
+
+    yield build
+    for pool in pools:
+        pool.close()
+
+
 class TestBackendContract:
     @pytest.mark.process_smoke
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_submission_order_merge(self, name):
-        backend = get_backend(name, workers=2)
-        outcomes = backend.run(_tasks(6))
+    def test_submission_order_merge(self, name, pool_for):
+        outcomes = pool_for(name).run(_tasks(6))
         assert [outcome.key for outcome in outcomes] == [f"t{i}" for i in range(6)]
         assert [outcome.result for outcome in outcomes] == [i * i for i in range(6)]
         assert all(outcome.ok for outcome in outcomes)
 
     @pytest.mark.process_smoke
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_task_exception_becomes_outcome(self, name):
-        backend = get_backend(name, workers=2)
-        outcomes = backend.run(
+    def test_task_exception_becomes_outcome(self, name, pool_for):
+        outcomes = pool_for(name).run(
             [ExecTask(key="ok", fn=_square, args=(3,)), ExecTask(key="bad", fn=_boom)]
         )
         by_key = {outcome.key: outcome for outcome in outcomes}
@@ -74,10 +73,9 @@ class TestBackendContract:
 
     @pytest.mark.process_smoke
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_on_result_streams_and_drops_results(self, name):
-        backend = get_backend(name, workers=2)
+    def test_on_result_streams_and_drops_results(self, name, pool_for):
         seen = []
-        outcomes = backend.run(
+        outcomes = pool_for(name).run(
             _tasks(5), on_result=lambda o: seen.append(o.result), keep_results=False
         )
         assert sorted(seen) == [i * i for i in range(5)]
@@ -85,53 +83,47 @@ class TestBackendContract:
         assert [outcome.result for outcome in outcomes] == [None] * 5
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_duplicate_keys_rejected(self, name):
-        backend = get_backend(name, workers=2)
+    def test_duplicate_keys_rejected(self, name, pool_for):
         with pytest.raises(ValueError):
-            backend.run([ExecTask(key="x", fn=_square, args=(1,)),
-                         ExecTask(key="x", fn=_square, args=(2,))])
+            pool_for(name).run(
+                [
+                    ExecTask(key="x", fn=_square, args=(1,)),
+                    ExecTask(key="x", fn=_square, args=(2,)),
+                ]
+            )
 
-    def test_empty_batch(self):
+    def test_empty_batch(self, pool_for):
         for name in BACKEND_NAMES:
-            assert get_backend(name, workers=2).run([]) == []
+            assert pool_for(name).run([]) == []
 
 
 class TestGetBackend:
+    """``make_pool`` maps a backend name and a worker count to a new pool."""
+
     def test_default_resolution(self):
-        assert isinstance(get_backend(None, workers=0), SerialBackend)
-        assert isinstance(get_backend(None, workers=1), SerialBackend)
-        assert isinstance(get_backend(None, workers=4), ThreadBackend)
+        for workers, kind, size in ((0, "thread", 1), (1, "thread", 1), (4, "thread", 4)):
+            pool = make_pool(None, workers=workers)
+            assert (pool.kind, pool.workers) == (kind, size)
+        serial = make_pool("serial", workers=4)
+        assert (serial.kind, serial.workers) == ("thread", 1)  # inline
+        process = make_pool("process", workers=0)
+        assert (process.kind, process.workers) == ("process", 1)
+        process.close()
 
     def test_instance_passthrough(self):
-        backend = ProcessBackend(workers=2)
-        assert get_backend(backend) is backend
+        """A consumer handed a WorkerPool borrows that very pool."""
+        from repro.experiments.sweep import SweepRunner, expand_grid
+
+        with WorkerPool(kind="thread", workers=2) as pool:
+            runner = SweepRunner(expand_grid(["baseline"], 1, n_gpts=20), backend=pool)
+            assert runner.pool is pool
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            get_backend("gpu", workers=2)
-
-    def test_process_rejects_rate_limiter(self):
-        class Limiter:
-            def acquire(self, host):  # pragma: no cover - never called
-                pass
-
-        with pytest.raises(ValueError):
-            get_backend("process", workers=2, rate_limiter=Limiter())
-
-    def test_serial_honors_queue_factory(self):
-        order = []
-
-        def tracked(i):
-            order.append(i)
-            return i
-
-        tasks = [ExecTask(key=f"t{i}", fn=tracked, args=(i,)) for i in range(4)]
-        outcomes = SerialBackend(queue_factory=LIFOTaskQueue).run(tasks)
-        assert order == [3, 2, 1, 0]  # executed depth-first even inline
-        assert [o.result for o in outcomes] == [0, 1, 2, 3]  # merged in submission order
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            make_pool("gpu", workers=2)
 
 
-class TestThreadBackend:
+class TestThreadKind:
     def test_concurrency_actually_overlaps(self):
         barrier = threading.Barrier(4, timeout=5)
 
@@ -139,7 +131,7 @@ class TestThreadBackend:
             barrier.wait()
             return True
 
-        outcomes = ThreadBackend(workers=4).run(
+        outcomes = WorkerPool(kind="thread", workers=4).run(
             [ExecTask(key=f"t{i}", fn=fn) for i in range(4)]
         )
         assert all(outcome.result for outcome in outcomes)
@@ -156,15 +148,52 @@ class TestThreadBackend:
 
         tasks = [ExecTask(key=f"t{i}", fn=interrupting, args=(i,)) for i in range(50)]
         with pytest.raises(KeyboardInterrupt):
-            ThreadBackend(workers=2).run(tasks)
-        # The stop flag must prevent the queue from fully draining.
+            WorkerPool(kind="thread", workers=2).run(tasks)
+        # The stop flag must prevent the batch from fully draining.
         assert len(started) < 50
 
+    def test_run_leaves_no_threads_behind(self):
+        """A thread-kind run joins its threads before returning: the pool
+        holds nothing between runs, so nobody has to close it."""
+        before = threading.active_count()
+        pool = WorkerPool(kind="thread", workers=8)
+        for _ in range(3):
+            assert [o.result for o in pool.run(_tasks(20))] == [i * i for i in range(20)]
+            assert threading.active_count() == before
 
-class TestProcessBackendSeeding:
-    """Satellite: per-task RNG state must come from the task payload, never
-    from inherited fork state, so fork and spawn (macOS vs Linux CI
-    defaults) produce identical draws."""
+    def test_stress_many_threads_tiny_switch_interval(self):
+        """16 threads on a small machine, preempted as often as the
+        interpreter allows: outcomes still merge in submission order and
+        ``on_result`` sees each key exactly once."""
+        n_tasks = 5000
+        seen = []
+        done = {}
+
+        def run():
+            done["outcomes"] = WorkerPool(kind="thread", workers=16).run(
+                _tasks(n_tasks), on_result=lambda o: seen.append(o.key)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "16-thread run did not finish within 120 s"
+        keys = [f"t{i}" for i in range(n_tasks)]
+        assert [o.key for o in done["outcomes"]] == keys
+        assert [o.result for o in done["outcomes"]] == [i * i for i in range(n_tasks)]
+        assert sorted(seen) == sorted(keys)
+        assert len(seen) == len(set(seen))
+
+
+class TestProcessKindSeeding:
+    """Per-task RNG state must come from the task payload, never from
+    inherited fork state, so fork and spawn (macOS vs Linux CI defaults)
+    produce identical draws."""
 
     @pytest.mark.process_smoke
     def test_fork_and_spawn_agree(self):
@@ -174,40 +203,20 @@ class TestProcessBackendSeeding:
         ]
         results = {}
         for method in ("fork", "spawn"):
-            backend = ProcessBackend(workers=2, start_method=method)
-            results[method] = [outcome.result for outcome in backend.run(tasks)]
+            with WorkerPool(kind="process", workers=2, start_method=method) as pool:
+                results[method] = [outcome.result for outcome in pool.run(tasks)]
         assert results["fork"] == results["spawn"]
         # Distinct tasks get distinct streams (the seed is per task).
         assert len({tuple(draws) for draws in results["fork"]}) == len(tasks)
-
-    def test_engine_rejects_dropped_knobs_with_instance_backend(self):
-        """CrawlEngine must not silently discard rate_limiter/queue_factory
-        when handed a pre-built backend instance."""
-        from repro.crawler.engine import CrawlEngine, HostRateLimiter
-
-        with pytest.raises(ValueError, match="rate_limiter"):
-            CrawlEngine(
-                workers=2,
-                rate_limiter=HostRateLimiter(default_rate=1.0),
-                backend=ThreadBackend(workers=2),
-            )
-        with pytest.raises(ValueError, match="queue_factory"):
-            CrawlEngine(
-                workers=2, queue_factory=LIFOTaskQueue, backend=ThreadBackend(workers=2)
-            )
-        # The backend carrying its own knobs is the supported spelling.
-        engine = CrawlEngine(
-            workers=2, backend=ThreadBackend(workers=2, queue_factory=LIFOTaskQueue)
-        )
-        assert engine.run([ExecTask(key="a", fn=_square, args=(2,))])[0].result == 4
 
     def test_unseeded_tasks_do_not_inherit_parent_state(self):
         # Poison the parent's RNG; with fork the child would inherit this
         # state, so identical per-task seeds are the only way two runs with
         # different parent states can agree.
-        random.seed(123)
         tasks = [ExecTask(key="a", fn=_seeded_draw, args=(2,), seed=7)]
-        first = ProcessBackend(workers=1, start_method="fork").run(tasks)[0].result
-        random.seed(456)
-        second = ProcessBackend(workers=1, start_method="fork").run(tasks)[0].result
-        assert first == second
+        draws = []
+        for parent_seed in (123, 456):
+            random.seed(parent_seed)
+            with WorkerPool(kind="process", workers=1, start_method="fork") as pool:
+                draws.append(pool.run(tasks)[0].result)
+        assert draws[0] == draws[1]

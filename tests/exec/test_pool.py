@@ -1,13 +1,13 @@
-"""Tests for the persistent :class:`WorkerPool` and its broadcast contract.
+"""Tests for the :class:`WorkerPool` lifecycle and its broadcast contract.
 
-The lifecycle contract under test: one live executor across many ``run()``
-calls with deterministic, submission-order-merged outcomes regardless of
-reuse; idempotent ``close()`` (and refusal to run afterwards);
-broadcast-once shared state that ships via the pool initializer and
-restarts the pool only when a payload actually changes; crashed-worker
+The lifecycle contract under test: one live process executor across many
+``run()`` calls with deterministic, submission-order-merged outcomes
+regardless of reuse; idempotent ``close()`` (and refusal to run
+afterwards); broadcast-once shared state that ships via the pool
+initializer and restarts the pool only when a payload actually changes;
+per-pool broadcast stores on the thread kind; and crashed-worker
 replacement that retries pending tasks on a rebuilt pool and caps a
-deterministic crasher into an error outcome; and :class:`PoolHandle`, the
-non-owning view whose ``close()`` must never tear down the owner's workers.
+deterministic crasher into an error outcome.
 """
 
 from __future__ import annotations
@@ -17,17 +17,8 @@ import random
 
 import pytest
 
-from repro.exec import (
-    ExecTask,
-    PoolHandle,
-    ProcessBackend,
-    WorkerPool,
-    resolve_pool,
-    shared_state,
-)
-
-#: Backend the smoke subset runs on (`make test-process` sets "process").
-SMOKE_BACKEND = os.environ.get("REPRO_TEST_BACKEND", "thread")
+from repro.exec import ExecTask, WorkerPool, shared_state
+from repro.exec.pool import MAX_TASK_ATTEMPTS
 
 
 def _square(value):
@@ -71,7 +62,7 @@ def _tasks(n, offset=0):
 
 
 class TestWarmPoolContract:
-    """The cold-backend scheduling contract must survive executor reuse."""
+    """The scheduling contract must survive executor reuse."""
 
     @pytest.mark.process_smoke
     @pytest.mark.parametrize("kind", ["thread", "process"])
@@ -159,14 +150,6 @@ class TestLifecycle:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown pool kind"):
             WorkerPool(kind="gpu")
-
-    def test_process_kind_rejects_rate_limiter(self):
-        class Limiter:
-            def acquire(self, host):  # pragma: no cover - never called
-                pass
-
-        with pytest.raises(ValueError, match="rate limiter"):
-            WorkerPool(kind="process", rate_limiter=Limiter())
 
 
 class TestBroadcast:
@@ -289,11 +272,11 @@ class TestCrashReplacement:
 
     @pytest.mark.process_smoke
     def test_deterministic_crasher_becomes_error_outcome(self):
-        with WorkerPool(kind="process", workers=1, max_task_attempts=2) as pool:
+        with WorkerPool(kind="process", workers=1) as pool:
             outcome = pool.run([ExecTask(key="doomed", fn=_always_crash)])[0]
             assert not outcome.ok
             assert "crashed" in outcome.error
-            assert "2 attempts" in outcome.error
+            assert f"{MAX_TASK_ATTEMPTS} attempts" in outcome.error
             # The pool survives giving up on the crasher.
             assert [o.result for o in pool.run(_tasks(2))] == [0, 1]
 
@@ -313,34 +296,3 @@ class TestFork_SpawnAgreement:
                 pool.run(batch)  # first pass warms (and perturbs) the worker
                 results[method] = [o.result for o in pool.run(batch)]
         assert results["fork"] == results["spawn"]
-
-
-class TestPoolHandle:
-    def test_handle_close_is_noop(self):
-        with WorkerPool(kind="thread", workers=2) as pool:
-            handle = pool.handle()
-            assert handle.run(_tasks(2))[1].result == 1
-            handle.close()  # must NOT tear down the owner's workers
-            with handle:  # context-manager exit is equally harmless
-                pass
-            assert pool.run(_tasks(1))[0].ok
-
-    def test_handle_forwards_broadcast_and_metadata(self):
-        with WorkerPool(kind="thread", workers=3) as pool:
-            handle = pool.handle()
-            assert handle.name == "thread"
-            assert handle.workers == 3
-            assert not handle.is_process
-            handle.broadcast("via-handle", {"v": 1})
-            outcome = handle.run(
-                [ExecTask(key="r", fn=_read_shared, args=("via-handle",))]
-            )[0]
-            assert outcome.result == {"v": 1}
-
-    def test_resolve_pool_unwraps(self):
-        with WorkerPool(kind="thread", workers=1) as pool:
-            assert resolve_pool(pool) is pool
-            assert resolve_pool(pool.handle()) is pool
-        assert resolve_pool("process") is None
-        assert resolve_pool(None) is None
-        assert resolve_pool(ProcessBackend(workers=1)) is None

@@ -25,7 +25,7 @@ from repro.classification.descriptions import extract_descriptions
 from repro.crawler.pipeline import CrawlPipeline
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import EcosystemGenerator
-from repro.exec import ProcessBackend
+from repro.exec import WorkerPool
 from repro.io import (
     CorpusSource,
     canonical_json,
@@ -88,11 +88,15 @@ class TestDiscoveryOrderReconstruction:
         self, ecosystem, reference, tmp_path, backend
     ):
         if backend.startswith("process-"):
-            backend = ProcessBackend(workers=2, start_method=backend.split("-")[1])
+            backend = WorkerPool(workers=2, start_method=backend.split("-")[1])
         pipeline = CrawlPipeline.from_ecosystem(
             ecosystem, seed=SEED, shards=3, workers=2, backend=backend
         )
-        store = pipeline.run_sharded(tmp_path / "crawl")
+        try:
+            store = pipeline.run_sharded(tmp_path / "crawl")
+        finally:
+            if isinstance(backend, WorkerPool):
+                backend.close()
         assert _order(store.iter_records()) == _order(reference.iter_gpts())
         assert store.load_corpus().discovery_indices == reference.discovery_indices
 
@@ -250,17 +254,21 @@ class TestStreamedClassificationByteIdentity:
     )
     def test_backends_byte_identical(self, parts, backend):
         if backend.startswith("process-"):
-            backend = ProcessBackend(workers=2, start_method=backend.split("-")[1])
+            backend = WorkerPool(workers=2, start_method=backend.split("-")[1])
         suite = parts["suite"]
-        result = classify_shards(
-            parts["store"],
-            taxonomy=suite.taxonomy,
-            llm=suite.llm,
-            fewshot_store=suite.fewshot_store,
-            config=suite._classifier_config(),
-            workers=2,
-            backend=backend,
-        )
+        try:
+            result = classify_shards(
+                parts["store"],
+                taxonomy=suite.taxonomy,
+                llm=suite.llm,
+                fewshot_store=suite.fewshot_store,
+                config=suite._classifier_config(),
+                workers=2,
+                backend=backend,
+            )
+        finally:
+            if isinstance(backend, WorkerPool):
+                backend.close()
         assert canonical_json(classification_to_payload(result)) == parts["reference"]
 
     def test_streamed_extraction_matches_in_memory(self, parts):
