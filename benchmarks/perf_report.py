@@ -2,8 +2,11 @@
 
 Perf benchmarks time a baseline implementation against its optimized
 replacement, print a compact table, and persist the measurements to a
-``BENCH_<name>.json`` artifact at the repository root so later PRs have a
-throughput trajectory to compare against (and to beat).
+fresh ``BENCH_<name>.json`` artifact under the gitignored
+``.benchmarks/fresh/`` directory.  The committed ``BENCH_*.json`` files at
+the repository root are the baselines; a test run never rewrites them.
+Re-basing is an explicit step, ``make perf-rebase``, which copies the
+fresh artifacts to the root.
 
 Usage from a benchmark test::
 
@@ -14,15 +17,16 @@ Usage from a benchmark test::
     report.write()
 
 Run as a script, ``python benchmarks/perf_report.py`` prints the merged
-trajectory of every ``BENCH_*.json`` artifact, and ``--check`` turns the
-artifacts into a regression gate: each freshly measured ``optimized_s``
-timing is compared against the artifact committed at ``HEAD`` (via
-``git show``), and any metric more than ``--threshold`` (default 1.5×)
-slower fails the run with a non-zero exit — this is the last step of
-``make ci``.  Artifacts with no committed baseline (a brand-new benchmark)
-and metrics whose committed timing sits below the ``--min-baseline-s``
-jitter floor (default 50 ms — sub-jitter ratios measure scheduler noise)
-are reported and skipped, not failed.  Metrics a benchmark *gated away*
+trajectory of every fresh ``BENCH_*.json`` artifact, and ``--check`` turns
+them into a regression gate: each freshly measured ``optimized_s`` timing
+is compared against the artifact committed at ``HEAD`` (via ``git show``),
+and any metric more than ``--threshold`` (default 1.5×) slower fails the
+run with a non-zero exit — this is the last step of ``make ci``.  With no
+fresh artifact at all, ``--check`` fails too: nothing was measured.
+Artifacts with no committed baseline (a brand-new benchmark) and metrics
+whose committed timing sits below the ``--min-baseline-s`` jitter floor
+(default 50 ms — sub-jitter ratios measure scheduler noise) are reported
+and skipped, not failed.  Metrics a benchmark *gated away*
 on this runner (recorded via :meth:`PerfReport.note_skipped`, e.g. a
 CPU-scaling comparison below its core-count floor) are surfaced as
 notices; one with no committed baseline row anywhere prints an explicit
@@ -42,6 +46,20 @@ from typing import Dict, List, Optional
 
 #: Repository root (benchmarks/ lives directly below it).
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Where benchmark runs write their artifacts (gitignored).
+FRESH_DIR = REPO_ROOT / ".benchmarks" / "fresh"
+
+
+def prior_artifact(name: str) -> Path:
+    """The artifact a fresh ``BENCH_<name>.json`` refresh merges with.
+
+    The fresh file when an earlier run wrote one, else the committed
+    baseline at the root, so a first fresh write keeps the rows (and row
+    order) of benchmarks this run did not re-record.
+    """
+    fresh = FRESH_DIR / f"BENCH_{name}.json"
+    return fresh if fresh.exists() else REPO_ROOT / fresh.name
 
 
 @dataclass
@@ -125,7 +143,7 @@ class PerfReport:
         return payload
 
     def write(self, directory: Optional[Path] = None) -> Path:
-        """Write ``BENCH_<name>.json`` (default: the repository root).
+        """Write ``BENCH_<name>.json`` (default: :data:`FRESH_DIR`).
 
         Records are emitted in the *prior* file's order (new names appended)
         so a baseline refresh diffs as value changes only — test execution
@@ -141,13 +159,20 @@ class PerfReport:
         (first-seen date + refresh count) so ``--check`` can escalate
         long-stale MISSING rows from notice to failure; a note resolves —
         and its history entry is dropped — the moment the metric is
-        recorded.
+        recorded.  In the default directory the prior file is
+        :func:`prior_artifact`'s; in an explicit one, the file it replaces.
         """
-        target = (directory or REPO_ROOT) / f"BENCH_{self.name}.json"
+        if directory is None:
+            FRESH_DIR.mkdir(parents=True, exist_ok=True)
+            target = FRESH_DIR / f"BENCH_{self.name}.json"
+            prior_path = prior_artifact(self.name)
+        else:
+            target = Path(directory) / f"BENCH_{self.name}.json"
+            prior_path = target
         payload = self.as_dict()
         fresh_names = {entry.name for entry in self.records}
         try:
-            prior = json.loads(target.read_text(encoding="utf-8"))
+            prior = json.loads(prior_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             prior = None
         if isinstance(prior, dict):
@@ -194,7 +219,7 @@ class PerfReport:
             for key, value in prior.items():
                 if key not in payload and key not in owned:
                     payload[key] = value
-        prior_order = prior_key_order(target, "records")
+        prior_order = prior_key_order(prior_path, "records")
         if prior_order:
             rank = {name: index for index, name in enumerate(prior_order)}
             payload["records"] = sorted(
@@ -280,12 +305,13 @@ def load_report(path: Path) -> PerfReport:
 
 
 def merged_summary(directory: Optional[Path] = None) -> str:
-    """One table merging every ``BENCH_*.json`` artifact in ``directory``.
+    """One table merging every ``BENCH_*.json`` artifact in ``directory``
+    (default: the fresh artifacts).
 
     This is what ``make ci`` prints after the perf smokes run, so the NLP
     and crawl trajectories are read side by side.
     """
-    root = directory or REPO_ROOT
+    root = directory or FRESH_DIR
     lines: List[str] = []
     for path in sorted(root.glob("BENCH_*.json")):
         report = load_report(path)
@@ -365,9 +391,10 @@ def check_regressions(
     metric has no baseline yet); whole artifacts without a committed
     baseline are skipped with a note.  Metrics whose committed timing is
     below ``min_baseline_s`` are exempt: at sub-jitter durations the ratio
-    measures scheduler noise, not a regression.
+    measures scheduler noise, not a regression.  ``directory`` defaults to
+    the fresh artifacts.
     """
-    root = directory or REPO_ROOT
+    root = directory or FRESH_DIR
     checks: List[RegressionCheck] = []
     for path in sorted(root.glob("BENCH_*.json")):
         fresh = load_report(path)
@@ -412,7 +439,7 @@ def gated_metric_notices(directory: Optional[Path] = None) -> List[str]:
     silently forever.  Notices never fail the gate; they keep
     skipped-on-this-runner rows visible.
     """
-    root = directory or REPO_ROOT
+    root = directory or FRESH_DIR
     notices: List[str] = []
     for path in sorted(root.glob("BENCH_*.json")):
         fresh = load_report(path)
@@ -454,7 +481,7 @@ def stale_missing_failures(
     capable runner measures it and commits the row.  A metric that gained
     a fresh or committed row resolves silently.
     """
-    root = directory or REPO_ROOT
+    root = directory or FRESH_DIR
     failures: List[str] = []
     for path in sorted(root.glob("BENCH_*.json")):
         try:
@@ -510,6 +537,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.check:
         print(merged_summary())
         return 0
+    if not list(FRESH_DIR.glob("BENCH_*.json")):
+        print(f"perf gate FAILED: no fresh BENCH_*.json in {FRESH_DIR}; run `make perf` first")
+        return 1
 
     checks = check_regressions(threshold=args.threshold, min_baseline_s=args.min_baseline_s)
     header = (

@@ -23,8 +23,9 @@ for ``perf_report.py --check``.  The sharded probe must stay within
 ``SHARDED_RSS_LIMIT_RATIO`` of the unsharded peak — the bounded-memory
 claim: it holds one shard's payload batch at a time instead of the corpus.
 
-The measured numbers are printed as a compact table and persisted to
-``BENCH_crawl.json`` at the repository root alongside ``BENCH_nlp.json``.
+The measured numbers are printed as a compact table and persisted to a
+fresh ``BENCH_crawl.json`` under ``.benchmarks/fresh/``, next to the other
+perf artifacts.
 """
 
 from __future__ import annotations

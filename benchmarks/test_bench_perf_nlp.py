@@ -14,8 +14,9 @@ replacements on synthetic corpora at two scales each:
 
 Equivalence is asserted alongside every timing (identical matrices, identical
 duplicate pair sets), the measured numbers are printed as a compact table,
-and the run is persisted to ``BENCH_nlp.json`` at the repository root so
-future PRs have a trajectory to beat.
+and the run is persisted to a fresh ``BENCH_nlp.json`` under
+``.benchmarks/fresh/`` (``make perf-rebase`` copies it over the committed
+baseline) so future PRs have a trajectory to beat.
 """
 
 from __future__ import annotations

@@ -82,11 +82,10 @@ import subprocess
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 import pytest
 
-from perf_report import REPO_ROOT, PerfReport, peak_rss_raw, prior_key_order
+from perf_report import REPO_ROOT, PerfReport, peak_rss_raw, prior_artifact, prior_key_order
 
 from repro.analysis import (
     analyze_cooccurrence,
@@ -201,8 +200,7 @@ def _emit_report():
     print(REPORT.format_table())
     # Capture the prior invariant key order before write() replaces the file,
     # so refreshes diff as value changes only (new keys append at the end).
-    target = REPO_ROOT / f"BENCH_{REPORT.name}.json"
-    prior_invariants = prior_key_order(target, "invariants")
+    prior_invariants = prior_key_order(prior_artifact(REPORT.name), "invariants")
     path = REPORT.write()
     # Persist the invariant verdicts (byte-identity, RSS ratio) alongside
     # the timing records; perf_report's loader ignores unknown keys.

@@ -16,9 +16,9 @@ resumed, and at every worker count — are asserted **byte-identical**
 (canonical JSON), which is the property that makes the cache and the
 concurrency safe to use for paper numbers.
 
-The measured numbers are printed as a compact table and persisted to
-``BENCH_sweep.json`` at the repository root alongside ``BENCH_nlp.json``
-and ``BENCH_crawl.json``.
+The measured numbers are printed as a compact table and persisted to a
+fresh ``BENCH_sweep.json`` under ``.benchmarks/fresh/``, next to the other
+perf artifacts.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ the same measurements as a **map-reduce** over its shards:
   profiles each document shard-locally (MinHash signatures included — see
   :class:`~repro.policy.duplicates.PolicyProfileAccumulator`) and the
   disclosure analysis runs the privacy-policy framework per document,
-  folding per-Action outcomes straight into a
-  :class:`~repro.analysis.disclosure.DisclosureAccumulator` — the policy
-  report itself is never materialized;
+  folding per-Action outcomes into a
+  :class:`~repro.analysis.disclosure.DisclosureAccumulator` and returning
+  them beside it, so the coordinator assembles the policy report without
+  running the framework again;
 * **description-extraction map** — one task per GPT shard collects each
   Action's data descriptions keyed by ``(gpt discovery index, action
   position)``; the reduce reconstructs the exact global description list
@@ -202,8 +203,9 @@ def _map_policy_shard(index: int) -> Dict[str, object]:
     disclosure spec: the shard's slice of the URL → Actions join
     (``url_actions``: url → [(action id, collected types, title)]) plus the
     policy framework's inputs (taxonomy, LLM, single-pass flag).  The
-    framework runs per document and its per-Action outcomes fold straight
-    into a :class:`DisclosureAccumulator` — no policy report is built.
+    framework runs per document; its per-Action outcomes fold into a
+    :class:`DisclosureAccumulator` and come back beside it as
+    ``policy_analyses`` (action id → ``ActionPolicyAnalysis``).
     """
     spec = shared_state(STREAM_POLICY_KEY)
     store = ShardedCorpusStore(spec["root"])
@@ -212,6 +214,7 @@ def _map_policy_shard(index: int) -> Dict[str, object]:
     duplicates = PolicyProfileAccumulator() if spec["want_duplicates"] else None
     disclosure = None
     analyzer = None
+    analyses: Dict[str, object] = {}
     url_actions: Mapping[str, Sequence] = {}
     if disclosure_spec is not None:
         from repro.policy.framework import PrivacyPolicyAnalyzer
@@ -228,20 +231,45 @@ def _map_policy_shard(index: int) -> Dict[str, object]:
             duplicates.update(result)
         if disclosure is not None and result.ok and result.text is not None:
             for action_id, collected_types, title in url_actions.get(result.url, ()):
-                disclosure.update(
-                    analyzer.analyze_action(
-                        action_id=action_id,
-                        policy_url=result.url,
-                        policy_text=result.text,
-                        collected_types=collected_types,
-                    ),
-                    name=title,
+                analyses[action_id] = analyzer.analyze_action(
+                    action_id=action_id,
+                    policy_url=result.url,
+                    policy_text=result.text,
+                    collected_types=collected_types,
                 )
+                disclosure.update(analyses[action_id], name=title)
     if duplicates is not None:
         out["policy_duplicates"] = duplicates
     if disclosure is not None:
         out["disclosure"] = disclosure
+        out["policy_analyses"] = analyses
     return out
+
+
+def _policy_report(
+    collected: Mapping[str, Sequence], catalog: ActionCatalogAccumulator, analyses: Mapping
+):
+    """Assemble the policy report from the policy shards' per-Action analyses.
+
+    ``collected`` (the classification's Action → data types) is keyed in
+    first-occurrence order of the extracted descriptions, which is the
+    order ``PrivacyPolicyAnalyzer.analyze_corpus`` visits Actions in.  An
+    Action no shard analyzed has no reachable policy; its record needs no
+    LLM call.
+    """
+    from repro.policy.framework import ActionPolicyAnalysis, PolicyConsistencyReport
+
+    report = PolicyConsistencyReport()
+    for action_id in collected:
+        analysis = analyses.get(action_id)
+        if analysis is None:
+            analysis = ActionPolicyAnalysis(
+                action_id=action_id,
+                policy_url=catalog.actions[action_id][0],
+                policy_available=False,
+            )
+        report.add(analysis)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +395,15 @@ class ShardAnalysisRunner:
             if not outcome.ok:
                 raise RuntimeError(f"shard analysis {outcome.key!r} failed: {outcome.error}")
             # Reduce: merge shard partials in shard (submission) order.
+            # Per-Action record maps merge by update: shards partition the
+            # Actions, so keys never collide.
             for name, accumulator in outcome.result.items():
-                if name in merged:
-                    merged[name].merge(accumulator)
-                else:
+                if name not in merged:
                     merged[name] = accumulator
+                elif isinstance(accumulator, dict):
+                    merged[name].update(accumulator)
+                else:
+                    merged[name].merge(accumulator)
         return merged
 
     def extract_descriptions(self) -> List[DataDescription]:
@@ -492,10 +524,12 @@ class ShardAnalysisRunner:
         needs it) share a single pass over the GPT shards; ``disclosure``
         and ``policy_duplicates`` then share a single pass over the policy
         shards.  Returns analysis objects keyed by name (plus ``"party"``
-        whenever a party rollup was built or supplied, and
+        whenever a party rollup was built or supplied,
         ``"action_catalog"`` whenever one was built or passed in — hand it
         back via ``action_catalog`` on a later call to skip re-scanning the
-        GPT shards).  Requesting a classification-dependent analysis
+        GPT shards — and ``"policy_report"``, the
+        :class:`~repro.policy.framework.PolicyConsistencyReport`, with
+        ``disclosure``).  Requesting a classification-dependent analysis
         without ``classification`` — or ``disclosure`` without
         ``llm``/``taxonomy`` — raises.
         """
@@ -626,6 +660,9 @@ class ShardAnalysisRunner:
             results["prevalence"] = merged["prevalence"].finalize(classification, party_index)
         if "disclosure" in merged:
             results["disclosure"] = merged["disclosure"].finalize()
+            results["policy_report"] = _policy_report(
+                collected, catalog, merged["policy_analyses"]
+            )
         if "policy_duplicates" in merged:
             action_policy_urls = {
                 action_id: row[0]

@@ -324,7 +324,6 @@ class MeasurementSuite:
             rate_limits=self.config.crawl_rate_limits,
             checkpoint_dir=self.config.crawl_checkpoint_dir,
             resume=self.config.crawl_resume,
-            checkpoint_shards=max(1, self.config.shards),
             shards=shards,
             backend=backend,
         )
@@ -506,6 +505,9 @@ class MeasurementSuite:
         catalog = results.pop("action_catalog", None)
         if catalog is not None and self._action_catalog is None:
             self._action_catalog = catalog
+        report = results.pop("policy_report", None)
+        if report is not None and self._policy_report is None:
+            self._policy_report = report
         self._cache.update(results)
 
     @property
@@ -582,12 +584,20 @@ class MeasurementSuite:
 
     @property
     def policy_report(self) -> PolicyConsistencyReport:
-        """Privacy-policy consistency report for the whole corpus."""
+        """Privacy-policy consistency report for the whole corpus.
+
+        A sharded suite takes it from the streamed disclosure pass, which
+        runs the framework per policy shard, so the framework runs once and
+        the corpus is never materialized.
+        """
         if self._policy_report is None:
-            analyzer = PrivacyPolicyAnalyzer(
-                self.taxonomy, self.llm, single_pass=self.config.single_pass_policy
-            )
-            self._policy_report = analyzer.analyze_corpus(self.corpus, self.classification)
+            if self.sharded:
+                self.disclosure  # the streamed pass sets _policy_report
+            else:
+                analyzer = PrivacyPolicyAnalyzer(
+                    self.taxonomy, self.llm, single_pass=self.config.single_pass_policy
+                )
+                self._policy_report = analyzer.analyze_corpus(self.corpus, self.classification)
         return self._policy_report
 
     @property

@@ -18,8 +18,9 @@ measurement pipeline:
   measurements;
 * ``repro-gpt experiment <id>`` — run one experiment (``table4``,
   ``figure9``, …) and print the paper-vs-measured comparison;
-* ``repro-gpt report`` — run every experiment and emit an EXPERIMENTS-style
-  markdown report;
+* ``repro-gpt report`` — run every experiment and print the EXPERIMENTS-style
+  markdown report (:func:`repro.reporting.render_experiment_report`, the
+  renderer the golden tests pin);
 * ``repro-gpt export <directory>`` — crawl and write the corpus (and, with
   ``--with-classification``, the per-parameter labels) to a dataset
   directory that :mod:`repro.io` can load back;
@@ -67,6 +68,7 @@ from repro.ecosystem.generator import EcosystemGenerator
 from repro.exec import BACKEND_NAMES
 from repro.experiments.registry import EXPERIMENTS, run_all_experiments, run_experiment
 from repro.reporting.markdown import format_table
+from repro.reporting.report import render_experiment_report
 
 
 def _build_suite(args: argparse.Namespace) -> MeasurementSuite:
@@ -311,15 +313,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     with _build_suite(args) as suite:
         results = run_all_experiments(suite)
-    for result in results:
-        print(f"## {result.title}")
-        rows = [
-            (metric, _format_value(paper), _format_value(measured))
-            for metric, paper, measured in result.comparison_rows()
-        ]
-        if rows:
-            print(format_table(["Metric", "Paper", "Measured"], rows))
-        print()
+    print(render_experiment_report(results, args.gpts, args.seed))
     return 0
 
 

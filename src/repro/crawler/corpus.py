@@ -220,17 +220,6 @@ class CrawlCorpus:
         """Record the fetch outcome for one policy URL."""
         self.policies[url] = result
 
-    def merge(self, other: "CrawlCorpus") -> None:
-        """Fold another corpus (e.g. a crawl shard) into this one."""
-        for store, n_links in other.store_link_counts.items():
-            self.merge_listing(store, n_links)
-        for gpt in other.iter_gpts():
-            self.merge_gpt(gpt, discovery_index=other.discovery_indices.get(gpt.gpt_id))
-        for gpt_id in other.unresolved_gpt_ids:
-            self.merge_unresolved(gpt_id)
-        for url, result in other.policies.items():
-            self.merge_policy(url, result)
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.gpts)

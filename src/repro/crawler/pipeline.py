@@ -2,70 +2,61 @@
 
 ``CrawlPipeline.from_ecosystem`` wires a :class:`SyntheticEcosystem` into a
 simulated network — store servers, the gizmo manifest API, and the privacy
-policy documents — and :meth:`CrawlPipeline.run` then performs the same crawl
-the paper describes in Section 3.1, rebuilt as three declarative stages
-whose tasks run on a :class:`~repro.exec.WorkerPool`:
+policy documents — and the pipeline then performs the crawl the paper
+describes in Section 3.1 in three stages whose tasks run on a
+:class:`~repro.exec.WorkerPool`:
 
 1. **listing** — crawl every store's listing pages and extract GPT
    identifiers (one task per store);
 2. **resolve** — de-duplicate identifiers across stores and resolve each one
-   against the gizmo API (one task per identifier; 404s are recorded);
-3. **policies** — fetch every Action's privacy policy (one task per unique
-   URL; some fail with server errors, as in Section 5.1.1).
+   against the gizmo API (404s are recorded);
+3. **policies** — fetch every Action's privacy policy once per unique URL
+   (some fail with server errors, as in Section 5.1.1).
 
 All network traffic goes through a
 :class:`~repro.crawler.transport.RetryingTransport` (retry budgets, seeded
-backoff, optional circuit breaking and simulated latency).  Stage results are
-merged into the corpus in deterministic task order regardless of worker
-count, so a seeded crawl is bit-reproducible sequentially or with 8 workers.
+backoff, optional circuit breaking and simulated latency).  Every failure
+and retry draw is a pure function of ``(seed, url, attempt)``, so a seeded
+crawl is bit-reproducible at any worker count.  With a checkpoint directory,
+completed task payloads are flushed through :class:`repro.io.CrawlCheckpoint`,
+and a killed run restarted with ``resume=True`` skips what it already
+fetched and produces identical output.
 
-When a checkpoint directory is configured, completed task payloads are
-flushed incrementally through :class:`repro.io.CrawlCheckpoint`; a run
-killed mid-stage and restarted with ``resume=True`` skips everything already
-fetched and produces a corpus identical to an uninterrupted run.
+There are two ways to run it:
 
-**Shard-partitioned crawls.**  With ``shards > 1``, :meth:`CrawlPipeline.run_sharded`
-partitions the listing frontier by the same SHA-256 record hash the sharded
-corpus store uses (:func:`repro.io.shards.shard_index`): after the listing
-stage, each shard runs its own resolve and policy sub-stages — own
-checkpoint shard files, own (rate-limit-sharing) transport — on the
-configured execution backend (:mod:`repro.exec`), and the resulting records
-stream straight into a :class:`~repro.io.shards.ShardedCorpusWriter`.  No
-whole-run :class:`CrawlCorpus` is ever materialized: the coordinator holds
-one shard's payload batch at a time plus O(#identifiers) routing metadata,
-so peak memory is bounded by the largest shard, not the corpus.  Because
-shards partition the URL space (identifiers route resolve URLs, policy URLs
-route themselves) and every failure/retry draw is a pure function of
-``(seed, url, attempt)``, the produced store is **byte-identical** to
-sharding the unsharded crawl's corpus — at any backend (serial, thread,
-process), any worker count, cold or resumed.  Each record is stamped with its
-global **discovery index** (the identifier's position in the coordinator's
-listing frontier — the same index the unsharded resolve merge assigns), so
-:meth:`CrawlPipeline.run` keeps the unsharded API exactly: with
-``shards > 1`` (or the process backend) it runs the partitioned crawl and
-rebuilds the corpus via :meth:`~repro.io.shards.ShardedCorpusStore.load_corpus`,
-in byte-identical discovery order.
+* :meth:`CrawlPipeline.run` builds an in-memory :class:`CrawlCorpus` from
+  the three stages, merging results in task order.
+* :meth:`CrawlPipeline.run_sharded` and :meth:`CrawlPipeline.run_incremental`
+  write a :class:`~repro.io.shards.ShardedCorpusStore` through one
+  store-crawl path.  A cold crawl is the case with no parent store: nothing
+  is carried, and every identifier and policy URL is fetched.  An
+  incremental epoch crawl (a world that churned, see
+  :mod:`repro.ecosystem.evolution`) passes the previous epoch's store and
+  its change feed: every frontier identifier the parent answered and the
+  feed does not name, and every policy the parent fetched that neither
+  drifted nor sits on a flapping host, is **carried forward without HTTP**,
+  re-stamped with this epoch's discovery index and store attribution.
 
-On a process pool, the picklable :class:`ShardCrawlSpec` (ecosystem +
-seed + failure injection) is broadcast to each worker once and every shard
+The store crawl lists in the coordinator, partitions the identifier
+frontier by the store's SHA-256 record hash
+(:func:`repro.io.shards.shard_index`), and runs each shard's resolve and
+policy sub-stages as one pool task.  When a shard's task completes, its
+records — merged in discovery order with the lines it carries from the
+parent — go straight into a :class:`~repro.io.shards.ShardedCorpusWriter`;
+shards with nothing to fetch are written after the phase.  The coordinator
+therefore holds one shard's records at a time, plus O(#identifiers) routing
+metadata.  Each GPT record is stamped with its global **discovery index**
+(its position in the listing frontier, the index :meth:`run` assigns too),
+so the published store is **byte-identical** to sharding the in-memory
+corpus — on any pool, at any worker count, cold, resumed or incremental.
+
+On a process pool the picklable :class:`ShardCrawlSpec` (ecosystem, seed,
+failure injection) is broadcast to each worker once and every shard
 sub-pipeline is rebuilt from it inside the worker, so the simulated network
-state is reconstructed — never inherited through fork — and per-task RNG
-re-seeding keeps fork and spawn start methods in agreement.  On a thread
-pool the shard tasks call the pipeline in-process instead, so every shard
-shares one rate-limited transport.
-
-**Incremental epoch crawls.**  :meth:`CrawlPipeline.run_incremental` is the
-delta-aware variant of :meth:`run_sharded` for a world that *churned*
-(:mod:`repro.ecosystem.evolution`): it crawls the new listing frontier in
-full (listings are cheap), then diffs the frontier against the parent
-epoch's store — identifiers that existed before and are not in the change
-feed are **carried forward shard-locally without any HTTP traffic**,
-re-stamped with this epoch's discovery indices and store attributions;
-only new/changed identifiers (and drifted or flapping-host policies) are
-fetched.  Because unchanged records' bytes are pure functions of the
-manifest they were fetched from, the produced store is byte-identical to
-a cold crawl of the evolved ecosystem — at any backend, worker count,
-cold or resumed — while paying HTTP only for the churn delta.
+is reconstructed, never inherited through fork, and per-task RNG re-seeding
+keeps fork and spawn start methods in agreement.  On a thread pool the
+shard tasks call the pipeline in-process and share one rate-limited
+transport.
 """
 
 from __future__ import annotations
@@ -84,7 +75,13 @@ from repro.crawler.store_server import GPTStoreServer, install_store_servers
 from repro.crawler.transport import HostRateLimiter, RetryingTransport, TransportConfig
 from repro.ecosystem.models import SyntheticEcosystem
 from repro.exec import ExecOutcome, ExecTask, WorkerPool, make_pool, shared_state
-from repro.io import CrawlCheckpoint
+from repro.io import (
+    CrawlCheckpoint,
+    ShardedCorpusWriter,
+    gpt_to_payload,
+    policy_from_payload,
+    shard_index,
+)
 from repro.web.urls import url_host
 
 
@@ -125,6 +122,12 @@ class CrawlStatistics:
     def quarantined_hosts(self) -> List[str]:
         """Hosts with at least one terminal failure this run (sorted)."""
         return sorted(self.host_failure_taxonomy)
+
+    def count_policy(self, result: PolicyFetchResult) -> None:
+        """Count one policy URL written to the corpus (and its failure)."""
+        self.n_policy_urls += 1
+        if not result.ok:
+            self.n_policy_failures += 1
 
     def add_network(self, counters: Mapping[str, object]) -> None:
         """Accumulate a network-counter delta (see
@@ -203,6 +206,26 @@ class CrawlStage:
     build_tasks: Callable[[], List[ExecTask]]
     encode: Callable[[object], object]
     merge: Callable[[str, object], None]
+
+
+def _encode_resolve(result: object) -> Dict[str, object]:
+    """Checkpoint payload of one gizmo fetch."""
+    return {"status": result.status, "manifest": result.manifest}
+
+
+def _encode_policy(result: object) -> Dict[str, object]:
+    """Checkpoint payload of one policy fetch."""
+    return {"status": result.status, "text": result.text, "error": result.error}
+
+
+def _policy_result(url: str, payload: Mapping[str, object]) -> PolicyFetchResult:
+    """The :class:`PolicyFetchResult` an :func:`_encode_policy` payload holds."""
+    return PolicyFetchResult(
+        url=url,
+        status=int(payload.get("status", 0)),
+        text=payload.get("text"),
+        error=payload.get("error"),
+    )
 
 
 #: Structural key markers in canonical-JSON shard lines.  canonical_json
@@ -298,6 +321,12 @@ def _restamp_carried_line(line: str, discovery_index: int, stores_json: str) -> 
     return f"{line[:start]}{stores_json}{line[end + 1:]}"
 
 
+def _record_policy_urls(record: Mapping[str, object]) -> List[str]:
+    """Every action ``legal_info_url`` of a parsed GPT record."""
+    urls = (action.get("legal_info_url") for action in record["actions"])
+    return [url for url in urls if url]
+
+
 def _scan_policy_urls(line: str) -> Optional[List[str]]:
     """Every action ``legal_info_url`` in a GPT record's raw line.
 
@@ -347,15 +376,11 @@ class CrawlPipeline:
         checkpoints in ``checkpoint_dir`` are cleared at run start.
     checkpoint_every:
         Flush the checkpoint after this many completed tasks.
-    checkpoint_shards:
-        Partition each checkpoint stage into this many hash-routed shard
-        files (mirrors :mod:`repro.io.shards`); ``1`` keeps the flat
-        single-file layout.  Ignored when ``shards > 1`` — the partitioned
-        crawl always checkpoints one shard file per crawl shard.
     shards:
-        Partition the crawl itself into this many hash-routed shards (see
-        the module docstring).  ``1`` keeps the classic single-corpus
-        dataflow.
+        Partition the store crawl into this many hash-routed shards (see
+        the module docstring); its checkpoint keeps one file per shard.
+        :meth:`run` with ``1`` (and no process backend) keeps the
+        in-memory single-corpus dataflow.
     backend:
         Execution backend for the per-shard sub-pipelines: ``"serial"``,
         ``"thread"``, ``"process"``, a borrowed
@@ -379,7 +404,6 @@ class CrawlPipeline:
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         checkpoint_every: int = 100,
-        checkpoint_shards: int = 1,
         shards: int = 1,
         backend: Union[str, WorkerPool, None] = None,
     ) -> None:
@@ -400,15 +424,14 @@ class CrawlPipeline:
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
         self.checkpoint_every = max(1, checkpoint_every)
-        self.checkpoint_shards = max(1, checkpoint_shards)
         self.shards = max(1, shards)
         #: The generating ecosystem, when known (set by from_ecosystem);
         #: required for process-backend shard workers.
         self.ecosystem: Optional[SyntheticEcosystem] = None
         self.statistics = CrawlStatistics()
         #: Shard pool this pipeline built from a backend name (owned:
-        #: closed when run_sharded finishes).  A WorkerPool passed as the
-        #: backend is borrowed and never closed here.
+        #: closed when the store crawl finishes).  A WorkerPool passed as
+        #: the backend is borrowed and never closed here.
         self._owned_pool: Optional[WorkerPool] = None
         #: The ShardCrawlSpec broadcast to process workers — built once per
         #: pipeline so pool.broadcast sees the same object across the
@@ -489,13 +512,10 @@ class CrawlPipeline:
                 for identifier in identifier_sources
             ]
 
-        def encode(result: object) -> object:
-            return {"status": result.status, "manifest": result.manifest}
-
         # Global discovery indices: each identifier's position in the
         # de-duplicated listing frontier.  Unresolved identifiers consume
-        # an index too, so the sharded coordinator (which stamps from the
-        # same frontier before resolution outcomes are known) agrees
+        # an index too, so the store crawl (which stamps from the same
+        # frontier before resolution outcomes are known) agrees
         # byte-for-byte.  Built lazily: the frontier is final once the
         # listing stage has merged, before the first resolve merge runs.
         positions: Dict[str, int] = {}
@@ -505,18 +525,13 @@ class CrawlPipeline:
                 positions.update(
                     {ident: index for index, ident in enumerate(identifier_sources)}
                 )
-            manifest = payload.get("manifest")
-            if manifest is None:
+            gpt = self._resolved_gpt(payload, identifier_sources.get(identifier, []))
+            if gpt is None:
                 corpus.merge_unresolved(identifier)
-                self.statistics.n_unresolved += 1
-                return
-            self.statistics.n_resolved += 1
-            stores = identifier_sources.get(identifier, [])
-            gpt = CrawledGPT.from_manifest(manifest, source_store=stores[0] if stores else None)
-            gpt.source_stores = sorted(set(stores))
-            corpus.merge_gpt(gpt, discovery_index=positions[identifier])
+            else:
+                corpus.merge_gpt(gpt, discovery_index=positions[identifier])
 
-        return CrawlStage("resolve", build_tasks, encode, merge)
+        return CrawlStage("resolve", build_tasks, _encode_resolve, merge)
 
     def _policy_stage(self, corpus: CrawlCorpus) -> CrawlStage:
         fetcher = PolicyFetcher(self.transport)
@@ -531,22 +546,30 @@ class CrawlPipeline:
             )
             return [ExecTask(key=url, fn=fetcher.fetch, args=(url,)) for url in urls]
 
-        def encode(result: object) -> object:
-            return {"status": result.status, "text": result.text, "error": result.error}
-
         def merge(url: str, payload: object) -> None:
-            result = PolicyFetchResult(
-                url=url,
-                status=int(payload.get("status", 0)),
-                text=payload.get("text"),
-                error=payload.get("error"),
-            )
+            result = _policy_result(url, payload)
             corpus.merge_policy(url, result)
-            self.statistics.n_policy_urls += 1
-            if not result.ok:
-                self.statistics.n_policy_failures += 1
+            self.statistics.count_policy(result)
 
-        return CrawlStage("policies", build_tasks, encode, merge)
+        return CrawlStage("policies", build_tasks, _encode_policy, merge)
+
+    def _resolved_gpt(
+        self, payload: Mapping[str, object], stores: Sequence[str]
+    ) -> Optional[CrawledGPT]:
+        """The :class:`CrawledGPT` a resolve payload describes, counted in
+        the run's statistics; ``None`` for an unresolved identifier.
+
+        ``stores`` lists every store whose listing linked the identifier;
+        the first one is the record's ``source_store``.
+        """
+        manifest = payload.get("manifest")
+        if manifest is None:
+            self.statistics.n_unresolved += 1
+            return None
+        self.statistics.n_resolved += 1
+        gpt = CrawledGPT.from_manifest(manifest, source_store=stores[0] if stores else None)
+        gpt.source_stores = sorted(set(stores))
+        return gpt
 
     # ------------------------------------------------------------------
     # Shard-partitioned crawl
@@ -568,7 +591,7 @@ class CrawlPipeline:
         """The pool shard sub-pipelines run on.
 
         ``backend="process"`` builds one process pool reused across the
-        resolve and policy phases (closed when ``run_sharded`` finishes).
+        resolve and policy phases (closed when the store crawl finishes).
         On a thread pool the sub-pipelines share this pipeline's transport
         (and so its per-host buckets); the process kind refuses configured
         rate limits outright (see :meth:`_shard_crawl_spec`)."""
@@ -638,17 +661,9 @@ class CrawlPipeline:
         if self.checkpoint_dir is not None:
             checkpoint = CrawlCheckpoint(self.checkpoint_dir, n_shards=self.shards)
         if stage_name == "resolve":
-            client = GizmoAPIClient(self.transport)
-
-            def fetch(key: str) -> Dict[str, object]:
-                result = client.fetch(key)
-                return {"status": result.status, "manifest": result.manifest}
+            fetch, encode = GizmoAPIClient(self.transport).fetch, _encode_resolve
         elif stage_name == "policies":
-            fetcher = PolicyFetcher(self.transport)
-
-            def fetch(key: str) -> Dict[str, object]:
-                result = fetcher.fetch(key)
-                return {"status": result.status, "text": result.text, "error": result.error}
+            fetch, encode = PolicyFetcher(self.transport).fetch, _encode_policy
         else:  # pragma: no cover - guarded by the phase runner
             raise ValueError(f"unknown shard stage {stage_name!r}")
 
@@ -671,7 +686,7 @@ class CrawlPipeline:
             if payload is not None:
                 n_resumed += 1
             else:
-                payload = fetch(key)
+                payload = encode(fetch(key))
                 if checkpoint is not None:
                     checkpoint.append(stage_name, key, payload)
                     since_flush += 1
@@ -693,12 +708,14 @@ class CrawlPipeline:
     ) -> None:
         """Fan one stage's shards out on the pool and stream the results.
 
-        ``consume(shard, records)`` is called once per completed shard,
-        serialized, in completion order; the pool drops each shard's
-        payload after consumption (``keep_results=False``), so the
-        coordinator holds at most one shard's records at a time.  Writes are
-        order-safe under completion-order consumption because each shard's
-        records route to that shard's files alone.
+        ``consume(shard, records)`` is called once per shard, serialized:
+        in completion order for the shards with keys to fetch, then with no
+        records for the rest (they may still carry parent records).  The
+        pool drops each shard's payload after consumption
+        (``keep_results=False``), so the coordinator holds at most one
+        shard's records at a time.  Writes are order-safe under
+        completion-order consumption because each shard's records route to
+        that shard's files alone.
         """
         pool = self._shard_pool()
         if pool.is_process:
@@ -734,6 +751,9 @@ class CrawlPipeline:
             consume(shard, payload["records"])
 
         pool.run(tasks, on_result=on_result, keep_results=False)
+        for shard, keys in enumerate(shard_keys):
+            if not keys:
+                consume(shard, ())
 
     def run_sharded(
         self,
@@ -742,137 +762,27 @@ class CrawlPipeline:
         epoch: int = 0,
         parent_fingerprint: Optional[str] = None,
     ):
-        """Run the shard-partitioned crawl, streaming into a sharded store.
+        """Crawl cold into a sharded store: the store crawl with no parent.
 
         Returns the published :class:`~repro.io.shards.ShardedCorpusStore`
-        at ``shard_dir`` — byte-identical to
+        at ``shard_dir``, byte-identical to
         ``ShardedCorpusStore.write_corpus(self.run(), self.shards)`` without
-        ever materializing the whole-run corpus.  See the module docstring
-        for the dataflow.  With ``backend="process"`` one
-        :class:`~repro.exec.WorkerPool` spans the resolve and policy phases
-        and is closed on the way out (interrupted runs included); a
-        caller-supplied pool stays open for reuse.
+        ever materializing the whole-run corpus; every identifier and
+        policy URL is fetched (see the module docstring for the dataflow).
+        With ``backend="process"`` one :class:`~repro.exec.WorkerPool` spans
+        the resolve and policy phases and is closed on the way out
+        (interrupted runs included); a caller-supplied pool stays open.
 
-        ``epoch``/``parent_fingerprint`` stamp the produced store's lineage
-        without changing a single record byte — the byte-identity oracle for
-        :meth:`run_incremental` is a cold ``run_sharded`` of the evolved
-        ecosystem stamped with the incremental store's lineage.
+        ``epoch``/``parent_fingerprint`` stamp the store's lineage without
+        changing a record byte, so a cold crawl of an evolved world stamped
+        with an incremental store's lineage is that store's byte-identity
+        oracle.
         """
         try:
-            return self._run_sharded(shard_dir, flush_every, epoch, parent_fingerprint)
+            return self._crawl_store(shard_dir, flush_every, epoch, parent_fingerprint)
         finally:
             self._close_owned_pool()
 
-    def _run_sharded(
-        self,
-        shard_dir: str,
-        flush_every: int,
-        epoch: int = 0,
-        parent_fingerprint: Optional[str] = None,
-    ):
-        from repro.io.shards import ShardedCorpusWriter, shard_index
-
-        self.statistics = CrawlStatistics()
-        network_before = self._network_counters()
-        checkpoint = self._open_checkpoint(n_shards=self.shards)
-        if checkpoint is not None:
-            # Settle the layout marker before any shard sub-pipeline opens
-            # its own view of the directory (their flushes would otherwise
-            # race to write it).
-            checkpoint.ensure_layout()
-
-        # Stage 1 — listing, in the coordinator: the identifier frontier
-        # must exist before it can be partitioned.  The throwaway corpus
-        # holds per-store link counts only, never GPT records.
-        identifier_sources: Dict[str, List[str]] = {}
-        listing_counts = CrawlCorpus()
-        self._run_stage(self._listing_stage(listing_counts, identifier_sources), checkpoint)
-        self.statistics.n_unique_identifiers = len(identifier_sources)
-        identifier_order = list(identifier_sources)
-        shard_ids: List[List[str]] = [[] for _ in range(self.shards)]
-        for identifier in identifier_order:
-            shard_ids[shard_index(identifier, self.shards)].append(identifier)
-
-        writer = ShardedCorpusWriter(
-            shard_dir,
-            n_shards=self.shards,
-            flush_every=flush_every,
-            epoch=epoch,
-            parent_fingerprint=parent_fingerprint,
-        )
-        unresolved: Set[str] = set()
-        policy_urls: Set[str] = set()
-        # The coordinator owns the listing order, so it stamps each record's
-        # global discovery index — the identifier's frontier position, the
-        # same index the unsharded ``_resolve_stage`` merge assigns.  Each
-        # shard's id list is a frontier subsequence and records come back in
-        # key order, so every shard file is written index-ascending (the
-        # invariant the store's discovery-order merge reads rely on).
-        frontier_position = {
-            identifier: position for position, identifier in enumerate(identifier_order)
-        }
-
-        # Stage 2 — resolve, one sub-pipeline per shard.  Resolved GPTs
-        # stream straight into the shard writer (each shard's records route
-        # to its own shard file, so completion-order consumption is safe).
-        def consume_resolve(shard: int, records: Sequence) -> None:
-            for identifier, payload in records:
-                manifest = payload.get("manifest")
-                if manifest is None:
-                    unresolved.add(identifier)
-                    self.statistics.n_unresolved += 1
-                    continue
-                self.statistics.n_resolved += 1
-                stores = identifier_sources.get(identifier, [])
-                gpt = CrawledGPT.from_manifest(
-                    manifest, source_store=stores[0] if stores else None
-                )
-                gpt.source_stores = sorted(set(stores))
-                for action in gpt.actions:
-                    if action.legal_info_url:
-                        policy_urls.add(action.legal_info_url)
-                writer.add_gpt(gpt, discovery_index=frontier_position[identifier])
-
-        self._run_shard_phase("resolve", shard_ids, consume_resolve)
-
-        # Stage 3 — policies: the global URL set (sorted, as in the
-        # unsharded pipeline) routes each URL to exactly one shard, so a
-        # policy referenced by GPTs in several shards is fetched once.
-        shard_urls: List[List[str]] = [[] for _ in range(self.shards)]
-        for url in sorted(policy_urls):
-            shard_urls[shard_index(url, self.shards)].append(url)
-
-        def consume_policies(shard: int, records: Sequence) -> None:
-            for url, payload in records:
-                result = PolicyFetchResult(
-                    url=url,
-                    status=int(payload.get("status", 0)),
-                    text=payload.get("text"),
-                    error=payload.get("error"),
-                )
-                writer.add_policy(result)
-                self.statistics.n_policy_urls += 1
-                if not result.ok:
-                    self.statistics.n_policy_failures += 1
-
-        self._run_shard_phase("policies", shard_urls, consume_policies)
-
-        # Manifest metadata: unresolved identifiers re-interleaved into the
-        # global discovery order the unsharded corpus records them in.
-        writer.set_metadata(
-            store_link_counts=listing_counts.store_link_counts,
-            unresolved_gpt_ids=[i for i in identifier_order if i in unresolved],
-        )
-        store = writer.close()
-        # Coordinator-side network counters (listing pages always; resolve
-        # and policy fetches too on thread pools, which share this
-        # pipeline's transport — process workers reported their own).
-        self.statistics.add_network(self._network_delta(network_before))
-        return store
-
-    # ------------------------------------------------------------------
-    # Incremental (delta-aware) crawl
-    # ------------------------------------------------------------------
     def run_incremental(
         self,
         shard_dir: str,
@@ -886,17 +796,19 @@ class CrawlPipeline:
 
         ``parent`` is the :class:`~repro.io.shards.ShardedCorpusStore` a
         previous epoch's crawl published; ``changed_gpt_ids`` /
-        ``changed_policy_urls`` are the change feed (e.g. an
-        :class:`~repro.ecosystem.evolution.EpochDelta`'s ``changed_gpt_ids``
-        and ``changed_policy_urls``).  The listing stage runs in full —
-        discovering *what exists now* is the one question the parent cannot
-        answer, and listings are ~2% of a cold crawl's requests — then every
-        frontier identifier the parent already answered that the feed does
-        not name is carried forward shard-locally **without HTTP traffic**;
-        only new/changed identifiers (and drifted or flapping-host policies)
-        are fetched.  The published store is byte-identical to a cold
-        :meth:`run_sharded` of the evolved ecosystem (same lineage stamp),
-        at any backend, worker count, cold or resumed.
+        ``changed_policy_urls`` are the change feed (an
+        :class:`~repro.ecosystem.evolution.EpochDelta`'s fields of the same
+        names).  This is the store crawl of :meth:`run_sharded` with a
+        parent: the listing stage runs in full (what exists now is the one
+        question the parent cannot answer, and listings are ~2% of a cold
+        crawl's requests), every record the parent answered that the feed
+        does not name is carried forward shard-locally **without HTTP
+        traffic**, and only new or changed identifiers (and drifted or
+        flapping-host policies) are fetched.  The store is stamped epoch
+        ``epoch`` (default: the parent's plus one) with the parent's
+        fingerprint, and is byte-identical to a cold :meth:`run_sharded`
+        of the evolved ecosystem with that stamp, on any pool, at any worker
+        count, cold or resumed.
 
         Raises
         ------
@@ -906,105 +818,108 @@ class CrawlPipeline:
             resuming a checkpoint taken against a different parent epoch.
         """
         try:
-            return self._run_incremental(
+            manifest = parent.manifest
+            if not manifest.supports_discovery_order:
+                raise ValueError(
+                    "incremental crawls need a parent store with per-record "
+                    "discovery indices (manifest schema >= 2); this store is "
+                    f"schema {manifest.schema} — re-crawl it cold first"
+                )
+            if manifest.n_shards != self.shards:
+                raise ValueError(
+                    f"parent store has {manifest.n_shards} shards but this "
+                    f"pipeline is configured for {self.shards}; carry-forward is "
+                    "shard-local, so the layouts must match"
+                )
+            parent_fingerprint = parent.fingerprint()
+            if epoch is None:
+                epoch = manifest.epoch + 1
+            self._incremental_meta = {"parent": parent_fingerprint, "epoch": epoch}
+            return self._crawl_store(
                 shard_dir,
-                parent,
-                set(changed_gpt_ids),
-                set(changed_policy_urls),
-                epoch,
                 flush_every,
+                epoch,
+                parent_fingerprint,
+                parent=parent,
+                changed_ids=set(changed_gpt_ids),
+                changed_policies=set(changed_policy_urls),
             )
         finally:
             self._close_owned_pool()
             self._incremental_meta = None
 
-    def _run_incremental(
+    def _crawl_store(
         self,
         shard_dir: str,
-        parent,
-        changed_ids: Set[str],
-        changed_policies: Set[str],
-        epoch: Optional[int],
         flush_every: int,
+        epoch: int,
+        parent_fingerprint: Optional[str],
+        parent=None,
+        changed_ids: Set[str] = frozenset(),
+        changed_policies: Set[str] = frozenset(),
     ):
-        from repro.io.corpus import gpt_to_payload
-        from repro.io.shards import ShardedCorpusWriter, shard_index
+        """The one store crawl: listing, then resolve and policy shard
+        phases that carry what ``parent`` already holds and fetch the rest.
 
-        parent_manifest = parent.manifest
-        if not parent_manifest.supports_discovery_order:
-            raise ValueError(
-                "incremental crawls need a parent store with per-record "
-                "discovery indices (manifest schema >= 2); this store is "
-                f"schema {parent_manifest.schema} — re-crawl it cold first"
-            )
-        if parent_manifest.n_shards != self.shards:
-            raise ValueError(
-                f"parent store has {parent_manifest.n_shards} shards but this "
-                f"pipeline is configured for {self.shards}; carry-forward is "
-                "shard-local, so the layouts must match"
-            )
-        parent_fingerprint = parent.fingerprint()
-        if epoch is None:
-            epoch = parent_manifest.epoch + 1
-
+        ``parent=None`` is a cold crawl.  Every shard file is written
+        index-ascending (GPTs) or URL-sorted (policies), the order a cold
+        crawl of the same frontier produces.
+        """
         self.statistics = CrawlStatistics()
         network_before = self._network_counters()
-        self._incremental_meta = {"parent": parent_fingerprint, "epoch": epoch}
         checkpoint = self._open_checkpoint(n_shards=self.shards)
         if checkpoint is not None:
+            # Settle the layout marker before any shard sub-pipeline opens
+            # its own view of the directory (their flushes would otherwise
+            # race to write it).
             checkpoint.ensure_layout()
 
-        # Stage 1 — listing, in full (same as run_sharded).
+        def parent_keys(kind: str, scan: Callable[[str], str]) -> List[Set[str]]:
+            # One key-only pass per parent shard.  shard_index is the same
+            # hash at equal shard counts, so parent shard s holds exactly
+            # shard s's carry-forward candidates.
+            if parent is None:
+                return [set()] * self.shards
+            return [
+                {scan(line) for line in parent.iter_shard_lines(kind, shard)}
+                for shard in range(self.shards)
+            ]
+
+        # Stage 1 — listing, in the coordinator: the identifier frontier
+        # must exist before it can be partitioned.  The throwaway corpus
+        # holds per-store link counts only, never GPT records.
         identifier_sources: Dict[str, List[str]] = {}
         listing_counts = CrawlCorpus()
         self._run_stage(self._listing_stage(listing_counts, identifier_sources), checkpoint)
         self.statistics.n_unique_identifiers = len(identifier_sources)
         identifier_order = list(identifier_sources)
-        shard_ids: List[List[str]] = [[] for _ in range(self.shards)]
-        for identifier in identifier_order:
-            shard_ids[shard_index(identifier, self.shards)].append(identifier)
+        # The coordinator owns the listing order, so it stamps each record's
+        # global discovery index: the identifier's frontier position, the
+        # same index the in-memory ``_resolve_stage`` merge assigns.
         frontier_position = {
             identifier: position for position, identifier in enumerate(identifier_order)
         }
 
-        # Parent inventory: one id-only pass per shard.  shard_index is the
-        # same hash at equal shard counts, so parent shard s holds exactly
-        # shard s's carry-forward candidates.
-        parent_resolved: List[Set[str]] = [
-            {_payload_gpt_id(line) for line in parent.iter_shard_lines("gpts", shard)}
-            for shard in range(self.shards)
-        ]
-        parent_unresolved = set(parent_manifest.unresolved_gpt_ids)
-
         # Partition the frontier: anything the parent answered that the
-        # change feed does not name is carried without HTTP — including
+        # change feed does not name is carried without HTTP, including
         # identifiers the parent saw 404 for (dead listing links recur
         # epoch to epoch).
+        parent_ids = parent_keys("gpts", _payload_gpt_id)
+        parent_unresolved = set(parent.manifest.unresolved_gpt_ids) if parent else set()
         unresolved: Set[str] = set()
         carried: List[Set[str]] = [set() for _ in range(self.shards)]
         fetch_ids: List[List[str]] = [[] for _ in range(self.shards)]
-        for shard, keys in enumerate(shard_ids):
-            for identifier in keys:
-                if identifier not in changed_ids:
-                    if identifier in parent_resolved[shard]:
-                        carried[shard].add(identifier)
-                        continue
-                    if identifier in parent_unresolved:
-                        unresolved.add(identifier)
-                        self.statistics.n_unresolved += 1
-                        continue
-                fetch_ids[shard].append(identifier)
-
-        # Stage 2 — resolve only the delta.  Fetched payloads are buffered
-        # per shard (the delta is the churn, not the corpus), so each shard
-        # file can then be written carried+fetched in one index-ascending
-        # pass — the same write order a cold sharded crawl produces.
-        fetched: Dict[int, List] = {}
-        self._run_shard_phase(
-            "resolve",
-            fetch_ids,
-            lambda shard, records: fetched.setdefault(shard, []).extend(records),
-        )
+        for identifier in identifier_order:
+            shard = shard_index(identifier, self.shards)
+            if identifier not in changed_ids:
+                if identifier in parent_ids[shard]:
+                    carried[shard].add(identifier)
+                    continue
+                if identifier in parent_unresolved:
+                    unresolved.add(identifier)
+                    self.statistics.n_unresolved += 1
+                    continue
+            fetch_ids[shard].append(identifier)
 
         writer = ShardedCorpusWriter(
             shard_dir,
@@ -1017,21 +932,18 @@ class CrawlPipeline:
         # Store sets repeat across records, so each unique set is serialized
         # for the line splice exactly once (None = needs the real encoder).
         stores_json_cache: Dict[Tuple[str, ...], Optional[str]] = {}
-        for shard in range(self.shards):
+
+        # Stage 2 — resolve.  Each shard's fetched records and carried lines
+        # are merged on discovery index and written as soon as the shard's
+        # task completes, or after the phase when it fetches nothing.
+        def write_gpts(shard: int, records: Sequence) -> None:
             entries: List = []
-            for identifier, payload in fetched.get(shard, ()):
-                manifest = payload.get("manifest")
-                if manifest is None:
+            for identifier, payload in records:
+                gpt = self._resolved_gpt(payload, identifier_sources.get(identifier, []))
+                if gpt is None:
                     unresolved.add(identifier)
-                    self.statistics.n_unresolved += 1
-                    continue
-                self.statistics.n_resolved += 1
-                stores = identifier_sources.get(identifier, [])
-                gpt = CrawledGPT.from_manifest(
-                    manifest, source_store=stores[0] if stores else None
-                )
-                gpt.source_stores = sorted(set(stores))
-                entries.append((frontier_position[identifier], gpt_to_payload(gpt)))
+                else:
+                    entries.append((frontier_position[identifier], gpt_to_payload(gpt)))
             if carried[shard]:
                 for line in parent.iter_shard_lines("gpts", shard):
                     identifier = _payload_gpt_id(line)
@@ -1065,48 +977,43 @@ class CrawlPipeline:
             entries.sort(key=lambda entry: entry[0])
             for position, record in entries:
                 if isinstance(record, dict):
-                    for action in record["actions"]:
-                        url = action.get("legal_info_url")
-                        if url:
-                            policy_urls.add(url)
+                    policy_urls.update(_record_policy_urls(record))
                     writer.add_gpt_payload(record, discovery_index=position)
                     continue
                 line, identifier, stores = record
                 urls = _scan_policy_urls(line)
-                if urls is None:
-                    urls = [
-                        action.get("legal_info_url")
-                        for action in json.loads(line)["actions"]
-                        if action.get("legal_info_url")
-                    ]
-                policy_urls.update(urls)
+                policy_urls.update(
+                    urls if urls is not None else _record_policy_urls(json.loads(line))
+                )
                 writer.add_gpt_line(
                     line, gpt_id=identifier, discovery_index=position, source_stores=stores
                 )
 
-        # Stage 3 — policies.  A URL is carried when the parent fetched it,
-        # the drift feed does not name it, and its host is not flapping:
-        # flapping hosts stamp responses with per-visit revision markers the
-        # parent cannot vouch for, so refetching (at attempt 0, like a cold
-        # crawl's first visit) is what keeps byte-identity.
+        self._run_shard_phase("resolve", fetch_ids, write_gpts)
+
+        # Stage 3 — policies.  The global URL set (sorted, as in the
+        # in-memory pipeline) routes each URL to exactly one shard, so a
+        # policy referenced by GPTs in several shards is fetched once.  A
+        # URL is carried when the parent fetched it, the drift feed does not
+        # name it, and its host is not flapping: flapping hosts stamp
+        # responses with per-visit revision markers the parent cannot vouch
+        # for, so refetching (at attempt 0, like a cold crawl's first visit)
+        # is what keeps byte-identity.
         flapping_hosts = (
             set(self.http.hostile_spec.get("flapping", {}))
             if self.http.has_hostile_hosts
             else set()
         )
+        parent_urls = parent_keys("policies", _payload_policy_url)
         shard_urls: List[List[str]] = [[] for _ in range(self.shards)]
         for url in sorted(policy_urls):
             shard_urls[shard_index(url, self.shards)].append(url)
-        parent_policies: List[Set[str]] = [
-            {_payload_policy_url(line) for line in parent.iter_shard_lines("policies", shard)}
-            for shard in range(self.shards)
-        ]
         carried_urls: List[Set[str]] = [set() for _ in range(self.shards)]
         fetch_urls: List[List[str]] = [[] for _ in range(self.shards)]
         for shard, urls in enumerate(shard_urls):
             for url in urls:
                 if (
-                    url in parent_policies[shard]
+                    url in parent_urls[shard]
                     and url not in changed_policies
                     and url_host(url) not in flapping_hosts
                 ):
@@ -1114,51 +1021,30 @@ class CrawlPipeline:
                 else:
                     fetch_urls[shard].append(url)
 
-        fetched_policies: Dict[int, Dict[str, Dict[str, object]]] = {}
-        self._run_shard_phase(
-            "policies",
-            fetch_urls,
-            lambda shard, records: fetched_policies.setdefault(shard, {}).update(
-                dict(records)
-            ),
-        )
-
-        for shard, urls in enumerate(shard_urls):
-            if not urls:
-                continue
-            carried_payloads: Dict[str, Dict[str, object]] = {}
+        def write_policies(shard: int, records: Sequence) -> None:
+            results = {url: _policy_result(url, payload) for url, payload in records}
             if carried_urls[shard]:
                 for line in parent.iter_shard_lines("policies", shard):
                     url = _payload_policy_url(line)
                     if url in carried_urls[shard]:
-                        carried_payloads[url] = json.loads(line)
-            fresh = fetched_policies.get(shard, {})
-            for url in urls:
-                payload = carried_payloads.get(url)
-                if payload is not None:
-                    writer.add_policy_payload(url, payload)
-                    self.statistics.n_policies_carried += 1
-                    self.statistics.n_policy_urls += 1
-                    if payload.get("text") is None:
-                        self.statistics.n_policy_failures += 1
-                    continue
-                raw = fresh[url]
-                result = PolicyFetchResult(
-                    url=url,
-                    status=int(raw.get("status", 0)),
-                    text=raw.get("text"),
-                    error=raw.get("error"),
-                )
-                writer.add_policy(result)
-                self.statistics.n_policy_urls += 1
-                if not result.ok:
-                    self.statistics.n_policy_failures += 1
+                        results[url] = policy_from_payload(json.loads(line))
+                        self.statistics.n_policies_carried += 1
+            for url in shard_urls[shard]:
+                writer.add_policy(results[url])
+                self.statistics.count_policy(results[url])
 
+        self._run_shard_phase("policies", fetch_urls, write_policies)
+
+        # Manifest metadata: unresolved identifiers in global discovery
+        # order, as the in-memory corpus records them.
         writer.set_metadata(
             store_link_counts=listing_counts.store_link_counts,
             unresolved_gpt_ids=[i for i in identifier_order if i in unresolved],
         )
         store = writer.close()
+        # Coordinator-side network counters (listing pages always; resolve
+        # and policy fetches too on thread pools, which share this
+        # pipeline's transport — process workers reported their own).
         self.statistics.add_network(self._network_delta(network_before))
         return store
 
@@ -1297,7 +1183,7 @@ class CrawlPipeline:
         corpus = CrawlCorpus()
         self.statistics = CrawlStatistics(corpus=corpus)
         network_before = self._network_counters()
-        checkpoint = self._open_checkpoint(n_shards=self.checkpoint_shards)
+        checkpoint = self._open_checkpoint(n_shards=1)
 
         identifier_sources: Dict[str, List[str]] = {}
         stages: Sequence[Callable[[], CrawlStage]] = (

@@ -145,24 +145,6 @@ class TestShardedCheckpoint:
         with pytest.raises(ValueError):
             CrawlCheckpoint(tmp_path, n_shards=0)
 
-    def test_sharded_pipeline_resume_identical(self, small_ecosystem, tmp_path):
-        uninterrupted = CrawlPipeline.from_ecosystem(small_ecosystem, seed=11).run()
-        first = CrawlPipeline.from_ecosystem(
-            small_ecosystem, seed=11,
-            checkpoint_dir=str(tmp_path), checkpoint_shards=4,
-        )
-        first.run()
-        assert list(tmp_path.glob("stage_resolve.shard*.jsonl"))
-
-        resumed = CrawlPipeline.from_ecosystem(
-            small_ecosystem, seed=11,
-            checkpoint_dir=str(tmp_path), checkpoint_shards=4, resume=True,
-        )
-        corpus = resumed.run()
-        assert resumed.statistics.n_http_requests == 0
-        assert corpus_to_payload(corpus) == corpus_to_payload(uninterrupted)
-        assert policies_to_payload(corpus) == policies_to_payload(uninterrupted)
-
 
 class TestPipelineDeterminismAndResume:
     def test_worker_counts_produce_identical_corpora(self, small_ecosystem):

@@ -16,6 +16,7 @@ then review the golden diff like any other code change.
 
 from __future__ import annotations
 
+import functools
 import os
 from pathlib import Path
 
@@ -42,13 +43,21 @@ GOLDEN_LLM_USAGE = {
 }
 
 
-def _render(n_gpts: int, seed: int) -> str:
-    suite = MeasurementSuite(config=SuiteConfig(n_gpts=n_gpts, seed=seed))
-    results = run_all_experiments(suite)
+def _llm_usage(suite: MeasurementSuite):
     usage = suite.llm.usage
-    assert (suite.llm.call_count, usage.prompt_tokens, usage.completion_tokens) == (
-        GOLDEN_LLM_USAGE[n_gpts, seed]
-    )
+    return suite.llm.call_count, usage.prompt_tokens, usage.completion_tokens
+
+
+@functools.lru_cache(maxsize=None)
+def _in_memory_run(n_gpts: int, seed: int):
+    """The unsharded suite of one golden case, after every experiment."""
+    suite = MeasurementSuite(config=SuiteConfig(n_gpts=n_gpts, seed=seed))
+    return suite, run_all_experiments(suite)
+
+
+def _render(n_gpts: int, seed: int) -> str:
+    suite, results = _in_memory_run(n_gpts, seed)
+    assert _llm_usage(suite) == GOLDEN_LLM_USAGE[n_gpts, seed]
     return render_experiment_report(results, n_gpts, seed)
 
 
@@ -84,6 +93,24 @@ def test_sharded_rendering_matches_golden(tmp_path):
     )
     rendered = render_experiment_report(run_all_experiments(suite), n_gpts, seed)
     assert rendered == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("filename, n_gpts, seed", GOLDEN_CASES)
+def test_sharded_suite_runs_the_policy_framework_once(filename, n_gpts, seed, shards, tmp_path):
+    """A sharded suite takes its policy report from the streamed disclosure
+    pass: the same LLM usage as the in-memory suite, no materialized
+    corpus, and the same report, Action for Action and in the same order."""
+    memory, _ = _in_memory_run(n_gpts, seed)
+    suite = MeasurementSuite(
+        config=SuiteConfig(n_gpts=n_gpts, seed=seed, shards=shards, shard_dir=str(tmp_path))
+    )
+    run_all_experiments(suite)
+    assert _llm_usage(suite) == GOLDEN_LLM_USAGE[n_gpts, seed]
+    assert not suite.stage_materialized("corpus")
+    assert list(suite.policy_report.analyses.items()) == list(
+        memory.policy_report.analyses.items()
+    )
 
 
 def test_example_script_uses_shared_renderer():

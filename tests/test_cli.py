@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.suite import MeasurementSuite, SuiteConfig
 from repro.cli import build_parser, main
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, run_all_experiments
+from repro.reporting import render_experiment_report
 
 
 class TestParser:
@@ -121,6 +123,12 @@ class TestCommands:
         assert "unknown experiment" in err
         for known in ("table1", "figure9"):
             assert known in err
+
+    def test_report_prints_the_golden_pinned_renderer(self, capsys):
+        assert main(["--gpts", "120", "--seed", "3", "report"]) == 0
+        suite = MeasurementSuite(config=SuiteConfig(n_gpts=120, seed=3))
+        rendered = render_experiment_report(run_all_experiments(suite), 120, 3)
+        assert capsys.readouterr().out == rendered + "\n"
 
     def test_sweep_smoke(self, capsys, tmp_path):
         cache = tmp_path / "cache"

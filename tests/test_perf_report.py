@@ -10,6 +10,8 @@ pass silently forever.
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
+import perf_report  # noqa: E402
 from perf_report import (  # noqa: E402
+    FRESH_DIR,
+    REPO_ROOT,
     PerfReport,
     committed_report,
     gated_metric_notices,
@@ -237,3 +242,50 @@ class TestSkipHistoryAging:
             encoding="utf-8",
         )
         assert stale_missing_failures(directory=tmp_path, max_refreshes=5) == []
+
+
+class TestFreshArtifacts:
+    """Benchmarks write to the gitignored fresh directory, never the root."""
+
+    def _porcelain(self) -> str:
+        return subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "status", "--porcelain", "--untracked-files=all"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+
+    def test_bench_style_write_leaves_git_status_unchanged(self):
+        if shutil.which("git") is None or not (REPO_ROOT / ".git").exists():
+            pytest.skip("needs a git checkout")
+        before = self._porcelain()
+        report = PerfReport("tier1_write_probe")
+        report.record("probe", baseline_s=2.0, optimized_s=1.0, items=1)
+        path = report.write()
+        try:
+            assert path == FRESH_DIR / "BENCH_tier1_write_probe.json"
+            assert self._porcelain() == before
+        finally:
+            path.unlink()
+
+    def test_first_fresh_write_merges_the_root_baseline(self, tmp_path, monkeypatch):
+        fresh = tmp_path / ".benchmarks" / "fresh"
+        monkeypatch.setattr(perf_report, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(perf_report, "FRESH_DIR", fresh)
+        committed = PerfReport("merge")
+        committed.record("other_module_row", baseline_s=4.0, optimized_s=2.0, items=1)
+        committed.record("rerun_row", baseline_s=2.0, optimized_s=1.0, items=1)
+        committed.write(directory=tmp_path)
+
+        first = PerfReport("merge")
+        first.record("rerun_row", baseline_s=2.0, optimized_s=0.5, items=1)
+        merged = load_report(first.write())
+        assert [entry.name for entry in merged.records] == ["other_module_row", "rerun_row"]
+        assert merged["rerun_row"].optimized_s == 0.5
+
+        # Later writes merge with the fresh file; the root stays untouched.
+        second = PerfReport("merge")
+        second.record("new_row", baseline_s=1.0, optimized_s=1.0, items=1)
+        merged = load_report(second.write())
+        assert merged["rerun_row"].optimized_s == 0.5
+        assert [entry.name for entry in load_report(tmp_path / "BENCH_merge.json").records] == [
+            "other_module_row", "rerun_row"
+        ]
