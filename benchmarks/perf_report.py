@@ -64,12 +64,18 @@ def prior_artifact(name: str) -> Path:
 
 @dataclass
 class PerfRecord:
-    """One timed comparison between a baseline and an optimized path."""
+    """One timed comparison between a baseline and an optimized path.
+
+    ``baseline_s`` and ``optimized_s`` are in ``unit``: seconds, unless a
+    row measures memory (``"MB"``) or payload size (``"KB"``).  Artifacts
+    written before rows carried a unit hold only seconds rows by that name.
+    """
 
     name: str
     baseline_s: float
     optimized_s: float
     items: int
+    unit: str = "s"
 
     @property
     def speedup(self) -> float:
@@ -99,10 +105,10 @@ class PerfReport:
     skipped: Dict[str, str] = field(default_factory=dict)
 
     def record(
-        self, name: str, baseline_s: float, optimized_s: float, items: int
+        self, name: str, baseline_s: float, optimized_s: float, items: int, unit: str = "s"
     ) -> PerfRecord:
         entry = PerfRecord(
-            name=name, baseline_s=baseline_s, optimized_s=optimized_s, items=items
+            name=name, baseline_s=baseline_s, optimized_s=optimized_s, items=items, unit=unit
         )
         self.records.append(entry)
         return entry
@@ -119,12 +125,13 @@ class PerfReport:
 
     def format_table(self) -> str:
         """A compact, aligned timing table for terminal output."""
-        header = f"{'benchmark':<28} {'items':>7} {'baseline':>10} {'optimized':>10} {'speedup':>8}"
+        header = f"{'benchmark':<28} {'items':>7} {'baseline':>12} {'optimized':>12} {'speedup':>8}"
         lines = [header, "-" * len(header)]
         for entry in self.records:
             lines.append(
                 f"{entry.name:<28} {entry.items:>7d} "
-                f"{entry.baseline_s:>9.3f}s {entry.optimized_s:>9.3f}s "
+                f"{entry.baseline_s:>9.3f} {entry.unit:<2} "
+                f"{entry.optimized_s:>9.3f} {entry.unit:<2} "
                 f"{entry.speedup:>7.1f}x"
             )
         return "\n".join(lines)
@@ -288,17 +295,24 @@ def prior_key_order(path: Path, section: str) -> List[str]:
     return []
 
 
-def load_report(path: Path) -> PerfReport:
-    """Load a ``BENCH_<name>.json`` artifact back into a :class:`PerfReport`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def _report_from_payload(payload: Dict[str, object], path: Path) -> PerfReport:
+    """A :class:`PerfReport` from a parsed ``BENCH_<name>.json`` artifact."""
     report = PerfReport(str(payload.get("benchmark", Path(path).stem)))
-    for entry in payload.get("records", []):
+    for entry in payload.get("records", []):  # type: ignore[union-attr]
         report.record(
             name=str(entry["name"]),
             baseline_s=float(entry["baseline_s"]),
             optimized_s=float(entry["optimized_s"]),
             items=int(entry["items"]),
+            unit=str(entry.get("unit", "s")),
         )
+    return report
+
+
+def load_report(path: Path) -> PerfReport:
+    """Load a ``BENCH_<name>.json`` artifact back into a :class:`PerfReport`."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    report = _report_from_payload(payload, path)
     for name, reason in payload.get("skipped", {}).items():
         report.note_skipped(str(name), str(reason))
     return report
@@ -337,29 +351,21 @@ def committed_report(path: Path) -> Optional[PerfReport]:
             text=True,
             check=True,
         )
-        payload = json.loads(completed.stdout)
-        report = PerfReport(str(payload.get("benchmark", Path(path).stem)))
-        for entry in payload.get("records", []):
-            report.record(
-                name=str(entry["name"]),
-                baseline_s=float(entry["baseline_s"]),
-                optimized_s=float(entry["optimized_s"]),
-                items=int(entry["items"]),
-            )
+        return _report_from_payload(json.loads(completed.stdout), path)
     except (OSError, subprocess.CalledProcessError, ValueError, KeyError, TypeError):
         return None
-    return report
 
 
 @dataclass
 class RegressionCheck:
-    """One fresh-vs-committed timing comparison."""
+    """One fresh-vs-committed comparison, in the fresh row's unit."""
 
     benchmark: str
     metric: str
     committed_s: float
     fresh_s: float
     threshold: float
+    unit: str = "s"
 
     @property
     def slowdown(self) -> float:
@@ -375,7 +381,7 @@ class RegressionCheck:
         status = "ok" if self.ok else "REGRESSION"
         return (
             f"{self.benchmark:<10} {self.metric:<28} "
-            f"{self.committed_s:>9.3f}s {self.fresh_s:>9.3f}s "
+            f"{self.committed_s:>9.3f} {self.unit:<2} {self.fresh_s:>9.3f} {self.unit:<2} "
             f"{self.slowdown:>6.2f}x  {status}"
         )
 
@@ -389,10 +395,10 @@ def check_regressions(
 
     Only metrics recorded on both sides are compared (a renamed or new
     metric has no baseline yet); whole artifacts without a committed
-    baseline are skipped with a note.  Metrics whose committed timing is
-    below ``min_baseline_s`` are exempt: at sub-jitter durations the ratio
-    measures scheduler noise, not a regression.  ``directory`` defaults to
-    the fresh artifacts.
+    baseline are skipped with a note.  Timings (rows in seconds, by the
+    fresh row's unit) whose committed value is below ``min_baseline_s`` are
+    exempt: at sub-jitter durations the ratio measures scheduler noise, not
+    a regression.  ``directory`` defaults to the fresh artifacts.
     """
     root = directory or FRESH_DIR
     checks: List[RegressionCheck] = []
@@ -408,7 +414,7 @@ def check_regressions(
             if committed is None:
                 print(f"-- {path.name}: metric {entry.name!r} is new; skipping")
                 continue
-            if committed.optimized_s < min_baseline_s:
+            if entry.unit == "s" and committed.optimized_s < min_baseline_s:
                 print(
                     f"-- {path.name}: {entry.name} baseline "
                     f"{committed.optimized_s:.3f}s is below the "
@@ -422,6 +428,7 @@ def check_regressions(
                     committed_s=committed.optimized_s,
                     fresh_s=entry.optimized_s,
                     threshold=threshold,
+                    unit=entry.unit,
                 )
             )
     return checks
@@ -543,7 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     checks = check_regressions(threshold=args.threshold, min_baseline_s=args.min_baseline_s)
     header = (
-        f"{'benchmark':<10} {'metric':<28} {'committed':>10} {'fresh':>10} "
+        f"{'benchmark':<10} {'metric':<28} {'committed':>12} {'fresh':>12} "
         f"{'ratio':>6}  status"
     )
     print(header)

@@ -344,6 +344,7 @@ def test_sharded_crawl_wall_and_rss_bounded():
         baseline_s=rss_unsharded_mb,
         optimized_s=rss_sharded_mb,
         items=CRAWL_GPTS,
+        unit="MB",
     )
     ratio = rss_sharded_mb / rss_unsharded_mb
     assert ratio < SHARDED_RSS_LIMIT_RATIO, (

@@ -502,6 +502,7 @@ def test_classify_50k_sharded_memory_bounded():
         baseline_s=rss_crawl_mb,
         optimized_s=rss_mixed_mb,
         items=STRESS_GPTS,
+        unit="MB",
     )
     ratio = rss_mixed_mb / rss_crawl_mb
     INVARIANTS["classify_rss_ratio_mixed_over_crawl"] = round(ratio, 3)
@@ -654,6 +655,7 @@ def test_dispatch_pickle_bytes_per_task(paper_ecosystem):
         baseline_s=fat_bytes / 1024.0,
         optimized_s=lean_bytes / 1024.0,
         items=len(keys),
+        unit="KB",
     )
     INVARIANTS["pickle_bytes_full_spec_task"] = fat_bytes
     INVARIANTS["pickle_bytes_shared_ref_task"] = lean_bytes
@@ -676,6 +678,7 @@ def test_peak_rss_bounded(child_metrics):
         baseline_s=rss_2000_mb,
         optimized_s=rss_50k_mb,
         items=STRESS_GPTS,
+        unit="MB",
     )
     ratio = rss_50k_mb / rss_2000_mb
     INVARIANTS["rss_ratio_50k_over_2000"] = round(ratio, 3)

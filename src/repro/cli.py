@@ -71,25 +71,39 @@ from repro.reporting.markdown import format_table
 from repro.reporting.report import render_experiment_report
 
 
+class _InvalidArguments(Exception):
+    """Command-line values a config validator refused; :func:`main` exits 2."""
+
+
 def _build_suite(args: argparse.Namespace) -> MeasurementSuite:
     crawl_transport = None
     if getattr(args, "deadline", 0.0):
         crawl_transport = {"deadline_s": args.deadline}
-    config = SuiteConfig(
-        n_gpts=args.gpts,
-        seed=args.seed,
-        epoch=getattr(args, "epoch", 0),
-        crawl_workers=getattr(args, "workers", 0),
-        crawl_checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        crawl_resume=getattr(args, "resume", False),
-        crawl_hostile={} if getattr(args, "hostile", False) else None,
-        crawl_transport=crawl_transport,
-        shards=args.shards,
-        shard_workers=args.shard_workers,
-        shard_dir=args.shard_dir,
-        backend=args.backend,
-    )
+    try:
+        config = SuiteConfig(
+            n_gpts=args.gpts,
+            seed=args.seed,
+            epoch=getattr(args, "epoch", 0),
+            crawl_workers=getattr(args, "workers", 0),
+            crawl_checkpoint_dir=getattr(args, "checkpoint_dir", None),
+            crawl_resume=getattr(args, "resume", False),
+            crawl_hostile={} if getattr(args, "hostile", False) else None,
+            crawl_transport=crawl_transport,
+            shards=args.shards,
+            shard_workers=args.shard_workers,
+            shard_dir=args.shard_dir,
+            backend=args.backend,
+        ).validate()
+    except ValueError as error:
+        raise _InvalidArguments(str(error)) from None
     return MeasurementSuite(config=config)
+
+
+def _ecosystem_config(args: argparse.Namespace) -> EcosystemConfig:
+    try:
+        return EcosystemConfig.paper_calibrated(n_gpts=args.gpts, seed=args.seed)
+    except ValueError as error:
+        raise _InvalidArguments(str(error)) from None
 
 
 def _format_value(value: object) -> str:
@@ -99,7 +113,7 @@ def _format_value(value: object) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = EcosystemConfig.paper_calibrated(n_gpts=args.gpts, seed=args.seed)
+    config = _ecosystem_config(args)
     ecosystem = EcosystemGenerator(config).generate()
     print(ecosystem.summary())
     print(f"Action-embedding GPTs: {len(ecosystem.action_gpts())}")
@@ -165,7 +179,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.epochs < 1:
         print("--epochs must be >= 1", file=sys.stderr)
         return 2
-    config = EcosystemConfig.paper_calibrated(n_gpts=args.gpts, seed=args.seed)
+    config = _ecosystem_config(args)
     ecosystem = EcosystemGenerator(config).generate()
     print(ecosystem.summary())
     evolved, deltas = evolve_epochs(ecosystem, config, args.epochs)
@@ -446,7 +460,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "export": _cmd_export,
         "sweep": _cmd_sweep,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _InvalidArguments as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -46,8 +46,11 @@ process pool can span a crawl and every analysis pass after it.
 
 from __future__ import annotations
 
+import functools
+import os
 import random
 import threading
+import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -143,13 +146,77 @@ _THREAD_SHARED = threading.local()
 
 
 def _install_shared(payloads: Mapping[str, object]) -> None:
-    """Pool initializer: install the broadcast payloads in this worker.
+    """Pool initializer: cap BLAS threads and install the broadcast payloads.
 
     Runs once per worker process at spawn — the payloads pickle once into
     the executor's ``initargs``, not once per task.
     """
+    _cap_blas_threads()
     _WORKER_SHARED.clear()
     _WORKER_SHARED.update(payloads)
+
+
+#: OpenBLAS (set, get) thread-count symbols of the scipy-openblas64 library
+#: that numpy 2 wheels bundle (``numpy.libs/libscipy_openblas64_-*.so``).
+_OPENBLAS_SYMBOLS: Tuple[str, str] = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_get_num_threads64_",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[Tuple[Callable[[int], None], Callable[[], int]]]:
+    """numpy's OpenBLAS thread-count (setter, getter) in this process.
+
+    The library is the one numpy's wheel bundles, next to the package
+    (``numpy.libs``) or inside it (``.dylibs``); loading it again returns
+    the instance numpy already uses.  ``None`` when no known symbol exists.
+    """
+    import ctypes
+    import glob
+
+    import numpy
+
+    package = os.path.dirname(numpy.__file__)
+    paths = glob.glob(os.path.join(package + ".libs", "*openblas*"))
+    paths += glob.glob(os.path.join(package, ".dylibs", "*openblas*"))
+    set_name, get_name = _OPENBLAS_SYMBOLS
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = getattr(library, set_name, None)
+        getter = getattr(library, get_name, None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+def _cap_blas_threads() -> None:
+    """Cap this process's OpenBLAS at one thread, when a known symbol exists.
+
+    Each process worker would otherwise run one BLAS thread per core, and
+    the workers together oversubscribe the machine.  A forked worker has
+    loaded OpenBLAS already and ignores ``OPENBLAS_NUM_THREADS``, so the
+    cap goes through the library.
+    """
+    functions = _openblas_threads()
+    if functions is not None:
+        functions[0](1)
+
+
+@functools.lru_cache(maxsize=None)
+def _report_uncapped_blas() -> None:
+    """Say once per process that workers' BLAS threads cannot be capped."""
+    if _openblas_threads() is None:
+        warnings.warn(
+            "no known OpenBLAS thread-count symbol: process workers run "
+            "BLAS with its default thread count",
+            RuntimeWarning,
+        )
 
 
 def shared_state(key: str) -> object:
@@ -252,6 +319,7 @@ class WorkerPool:
             self._discard_executor()
             self._dirty = False
         if self._executor is None:
+            _report_uncapped_blas()
             kwargs = {
                 "max_workers": self.workers,
                 "initializer": _install_shared,

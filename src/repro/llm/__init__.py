@@ -3,10 +3,11 @@
 The paper's measurement frameworks use GPT-4o / GPT-o1 through natural-language
 prompts (Appendix C).  Offline, we replace the remote model with
 :class:`SimulatedLLM`: a deterministic model that receives the same prompts
-(rendered by :mod:`repro.llm.prompts`), parses the structured payload embedded
-in them, and answers from a keyword knowledge base plus the retrieved few-shot
-examples, with a calibrated error model so that framework accuracy lands in
-the ranges reported by the paper.
+(built by :mod:`repro.llm.prompts`), reads each one's task and payload
+directly, without rendering the prompt text a remote model would receive, and
+answers from a keyword knowledge base plus the retrieved few-shot examples,
+with a calibrated error model so that framework accuracy lands in the ranges
+reported by the paper.
 
 The surrounding frameworks (:mod:`repro.classification` and
 :mod:`repro.policy`) are written against the abstract :class:`LLMClient`

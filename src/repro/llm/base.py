@@ -4,15 +4,24 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Union
+
+if TYPE_CHECKING:
+    from repro.llm.prompts import Prompt
 
 
 @dataclass(frozen=True)
 class ChatMessage:
-    """A single chat message (role + content)."""
+    """A single chat message (role + content).
+
+    ``content`` is text or a :class:`~repro.llm.prompts.Prompt`.  A client
+    that sends text sends ``str(content)``, which renders a prompt;
+    :class:`~repro.llm.simulated.SimulatedLLM` reads a prompt's task and
+    payload without rendering it.
+    """
 
     role: str
-    content: str
+    content: Union[str, "Prompt"]
 
     def __post_init__(self) -> None:
         if self.role not in ("system", "user", "assistant"):
@@ -61,15 +70,25 @@ class LLMClient(abc.ABC):
     def complete(self, messages: List[ChatMessage]) -> LLMResponse:
         """Run one completion over a list of chat messages."""
 
-    def complete_text(self, system: str, user: str) -> str:
-        """Convenience wrapper: system + user message, return text content."""
+    def complete_text(self, system: str, user: Union[str, "Prompt"]) -> str:
+        """Convenience wrapper: system + user message, return text content.
+
+        ``user`` is passed through as it is, text or a prompt.
+        """
         response = self.complete(
             [ChatMessage(role="system", content=system), ChatMessage(role="user", content=user)]
         )
         return response.content
 
 
-def estimate_tokens(text: str) -> int:
-    """Rough token estimate (≈ 0.75 words per token heuristic, floor 1)."""
-    words = len(text.split())
+def tokens_for_words(words: int) -> int:
+    """Token estimate of ``words`` whitespace-separated words.
+
+    ≈ 0.75 words per token, floor 1: the one rule for text and prompts alike.
+    """
     return max(1, int(words / 0.75))
+
+
+def estimate_tokens(text: str) -> int:
+    """Rough token estimate of a text: :func:`tokens_for_words` of its word count."""
+    return tokens_for_words(len(text.split()))

@@ -1,18 +1,26 @@
 """Prompt templates mirroring the paper's Appendix C prompts (Codes 3–6).
 
-Prompts are rendered as natural-language instructions followed by a fenced
-JSON payload block.  Any :class:`~repro.llm.base.LLMClient` receives the full
-prompt text; the offline :class:`~repro.llm.simulated.SimulatedLLM` recovers
-the structured payload from the fenced block, while an API-backed client would
-simply send the whole prompt to the remote model.  Responses are expected to
-be JSON documents, parsed with :func:`parse_json_response`.
+Every ``render_*`` function returns a :class:`Prompt`: a task id, natural-
+language instructions and a structured payload.  :attr:`Prompt.text` is the
+prompt a remote model receives, the instructions followed by a fenced JSON
+payload block; it is rendered on first access, so an API-backed
+:class:`~repro.llm.base.LLMClient` sends the text while the offline
+:class:`~repro.llm.simulated.SimulatedLLM` reads the task and payload
+directly and never renders.  :attr:`Prompt.word_count`, which the token
+accounting uses, counts the words of that text without rendering it.  Prompt
+text from any other source is read with :func:`parse_prompt`.  Responses are
+expected to be JSON documents, parsed with :func:`parse_json_response`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import json.encoder
 import re
-from typing import Dict, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 #: Marker introducing the machine-readable task name inside a prompt.
 TASK_MARKER = "TASK:"
@@ -33,8 +41,18 @@ class PromptError(ValueError):
     """Raised when a prompt or an LLM response cannot be parsed."""
 
 
-class _Fragment(str):
-    """A payload value already encoded by :func:`_encode_value`."""
+@dataclass(frozen=True)
+class _Fragment:
+    """A taxonomy summary prepared once for every prompt that embeds it.
+
+    ``encoded`` is the summary as :func:`_encode_value` writes it, ``words``
+    the number of whitespace-separated words in it, and ``type_names`` what
+    :func:`taxonomy_type_names` reads from the summary.
+    """
+
+    encoded: str
+    words: int
+    type_names: Dict[str, List[str]]
 
 
 #: Bound of the process-wide cache of encoded taxonomy summaries, which
@@ -47,6 +65,33 @@ FRAGMENT_CACHE_CAPACITY = 1 << 8
 _FRAGMENTS: Dict[tuple, _Fragment] = {}
 
 
+@dataclass(eq=False)
+class Prompt:
+    """One prompt: its task id, instructions and JSON payload.
+
+    :attr:`text` is rendered on first access and then kept.  The payload is
+    held by reference, so build a new prompt instead of mutating one.  A
+    prompt equals only itself; compare :attr:`text` to compare it with text.
+    """
+
+    task: str
+    instructions: str
+    payload: Dict[str, object] = field(repr=False)
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The prompt as a remote model receives it."""
+        return _render(self.task, self.instructions, self.payload)
+
+    @property
+    def word_count(self) -> int:
+        """``len(self.text.split())``, counted without rendering the text."""
+        return _frame_words(self.task, self.instructions) + _value_words(self.payload)
+
+    def __str__(self) -> str:
+        return self.text
+
+
 def _encode_value(value: object) -> str:
     """``value`` as ``json.dumps(payload, indent=2)`` writes a top-level value.
 
@@ -56,8 +101,71 @@ def _encode_value(value: object) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
 
 
+def _string_words(text: str) -> int:
+    """Words of ``text``'s JSON encoding, which escapes newlines and tabs.
+
+    ``encode_basestring`` is the string encoder of ``json.dumps(...,
+    ensure_ascii=False)``, without building an encoder per call.
+    """
+    return len(json.encoder.encode_basestring(text).split())
+
+
+def _value_words(value: object) -> int:
+    """Whitespace-separated words of ``value``'s indented JSON encoding.
+
+    Every encoded string starts and ends with a quote, and the indented
+    layout adds only whitespace, ``{ } [ ]`` words around non-empty
+    containers, and ``,`` and ``:`` attached to a word.  So the count is a
+    sum over the encoded strings plus one word per other scalar or empty
+    container.  A key that is not a string is encoded as a one-word string.
+    """
+    if isinstance(value, str):
+        return _string_words(value)
+    if isinstance(value, dict):
+        if not value:
+            return 1
+        words = 2
+        for key, item in value.items():
+            words += _value_words(item) + (_string_words(key) if isinstance(key, str) else 1)
+        return words
+    if isinstance(value, (list, tuple)):
+        return 2 + sum(map(_value_words, value)) if value else 1
+    if isinstance(value, _Fragment):
+        return value.words
+    if value is None or isinstance(value, (int, float)):
+        return 1
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=64)
+def _frame_words(task: str, instructions: str) -> int:
+    """Words of a prompt outside its payload: task line, instructions, markers, footer."""
+    return len(_frame(task, instructions, "").split())
+
+
+def taxonomy_type_names(summary: object) -> Dict[str, List[str]]:
+    """Category name -> data-type names, from a prompt's taxonomy value.
+
+    Reads a :func:`taxonomy_summary` mapping, or the fragment that the
+    ``render_*`` functions embed in its place.  A fragment's map is computed
+    once and shared, so callers must not mutate the result.
+    """
+    if isinstance(summary, _Fragment):
+        return summary.type_names
+    allowed: Dict[str, List[str]] = {}
+    if isinstance(summary, Mapping):
+        for category, info in summary.items():
+            types: List[object] = []
+            if isinstance(info, Mapping):
+                data_types = info.get("data_types", {})
+                if isinstance(data_types, Mapping):
+                    types = list(data_types.keys())
+            allowed[str(category)] = [str(name) for name in types]
+    return allowed
+
+
 def _taxonomy_fragment(taxonomy) -> _Fragment:
-    """:func:`taxonomy_summary` of a taxonomy, encoded once per distinct content.
+    """:func:`taxonomy_summary` of a taxonomy, prepared once per distinct content.
 
     The key holds every string of the summary; it is far cheaper to build
     than the indented encoding, which ``json`` does in pure Python.
@@ -74,8 +182,25 @@ def _taxonomy_fragment(taxonomy) -> _Fragment:
     if fragment is None:
         if len(_FRAGMENTS) >= FRAGMENT_CACHE_CAPACITY:
             _FRAGMENTS.clear()
-        fragment = _FRAGMENTS[key] = _Fragment(_encode_value(taxonomy_summary(taxonomy)))
+        summary = taxonomy_summary(taxonomy)
+        encoded = _encode_value(summary)
+        fragment = _FRAGMENTS[key] = _Fragment(
+            encoded, len(encoded.split()), taxonomy_type_names(summary)
+        )
     return fragment
+
+
+def _frame(task: str, instructions: str, body: str) -> str:
+    """A prompt around an encoded payload ``body``."""
+    return (
+        f"{TASK_MARKER} {task}\n"
+        f"{instructions.strip()}\n\n"
+        f"{_PAYLOAD_START}\n"
+        f"{body}\n"
+        f"{_PAYLOAD_END}\n"
+        "You MUST STRICTLY follow the provided output example. "
+        "Respond only in the specified JSON format, with no additional text.\n"
+    )
 
 
 def _render(task: str, instructions: str, payload: Mapping[str, object]) -> str:
@@ -88,44 +213,38 @@ def _render(task: str, instructions: str, payload: Mapping[str, object]) -> str:
     members = ",\n  ".join(
         json.dumps(key, ensure_ascii=False)
         + ": "
-        + (value if isinstance(value, _Fragment) else _encode_value(value))
+        + (value.encoded if isinstance(value, _Fragment) else _encode_value(value))
         for key, value in payload.items()
     )
-    body = f"{{\n  {members}\n}}" if members else "{}"
-    return (
-        f"{TASK_MARKER} {task}\n"
-        f"{instructions.strip()}\n\n"
-        f"{_PAYLOAD_START}\n"
-        f"{body}\n"
-        f"{_PAYLOAD_END}\n"
-        "You MUST STRICTLY follow the provided output example. "
-        "Respond only in the specified JSON format, with no additional text.\n"
-    )
+    return _frame(task, instructions, f"{{\n  {members}\n}}" if members else "{}")
 
 
-def extract_task(prompt: str) -> str:
-    """Extract the task identifier from a rendered prompt."""
-    for line in prompt.splitlines():
-        stripped = line.strip()
-        if stripped.startswith(TASK_MARKER):
-            return stripped[len(TASK_MARKER):].strip()
-    raise PromptError("prompt has no TASK marker")
+def parse_prompt(text: str) -> Prompt:
+    """Read a prompt's task, instructions and payload back from its text.
 
-
-def extract_payload(prompt: str) -> Dict[str, object]:
-    """Extract the JSON payload embedded in a rendered prompt."""
-    start = prompt.find(_PAYLOAD_START)
-    end = prompt.find(_PAYLOAD_END)
-    if start < 0 or end < 0 or end <= start:
+    The inverse of :attr:`Prompt.text`, for text from clients that do not
+    send a :class:`Prompt`.  The payload block runs from the first start
+    marker to the last end marker, which payload strings may contain.  The
+    task is on the first line before the block that starts with ``TASK:``;
+    the instructions are the text between that line and the block.
+    """
+    start = text.find(_PAYLOAD_START)
+    end = text.rfind(_PAYLOAD_END)
+    if start < 0 or end <= start:
         raise PromptError("prompt has no JSON payload block")
-    raw = prompt[start + len(_PAYLOAD_START):end].strip()
     try:
-        payload = json.loads(raw)
+        payload = json.loads(text[start + len(_PAYLOAD_START):end].strip())
     except json.JSONDecodeError as exc:
         raise PromptError(f"invalid JSON payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise PromptError("payload must be a JSON object")
-    return payload
+    lines = text[:start].splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        stripped = line.strip()
+        if stripped.startswith(TASK_MARKER):
+            task = stripped[len(TASK_MARKER):].strip()
+            return Prompt(task, "".join(lines[index + 1:]), payload)
+    raise PromptError("prompt has no TASK marker")
 
 
 def parse_json_response(text: str) -> Dict[str, object]:
@@ -206,7 +325,7 @@ def render_classification_prompt(
     examples: Sequence[Mapping[str, str]] = (),
     phase: str = "full",
     category: Optional[str] = None,
-) -> str:
+) -> Prompt:
     """Render the data-description classification prompt (Code 3).
 
     Parameters
@@ -244,7 +363,7 @@ def render_classification_prompt(
     }
     if category is not None:
         payload["category"] = category
-    return _render(task, instructions, payload)
+    return Prompt(task, instructions, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +388,7 @@ For each data entity, choose one action:
 def render_refinement_prompt(
     taxonomy,
     entities: Sequence[Mapping[str, object]],
-) -> str:
+) -> Prompt:
     """Render the taxonomy-refinement prompt (Code 4).
 
     ``entities`` are ``{"name_and_description": str, "amount_appears": int}``.
@@ -288,7 +407,7 @@ def render_refinement_prompt(
             ]
         },
     }
-    return _render(TASK_REFINE_TAXONOMY, _REFINE_INSTRUCTIONS, payload)
+    return Prompt(TASK_REFINE_TAXONOMY, _REFINE_INSTRUCTIONS, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +421,7 @@ sentences related to data collection.
 """
 
 
-def render_collection_extraction_prompt(sentences: Sequence[str]) -> str:
+def render_collection_extraction_prompt(sentences: Sequence[str]) -> Prompt:
     """Render the collection-statement extraction prompt (Code 5)."""
     payload = {
         "sentences": [
@@ -310,7 +429,7 @@ def render_collection_extraction_prompt(sentences: Sequence[str]) -> str:
         ],
         "output_format": {"collection_sentence_indices": [0]},
     }
-    return _render(TASK_EXTRACT_COLLECTION, _EXTRACT_INSTRUCTIONS, payload)
+    return Prompt(TASK_EXTRACT_COLLECTION, _EXTRACT_INSTRUCTIONS, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +454,7 @@ def render_consistency_prompt(
     data_entity: Mapping[str, str],
     statements: Sequence[Mapping[str, object]],
     examples: Sequence[Mapping[str, str]] = (),
-) -> str:
+) -> Prompt:
     """Render the consistency-labelling prompt (Code 6).
 
     ``data_entity`` carries ``category``, ``data_type``, and ``description``;
@@ -349,7 +468,7 @@ def render_consistency_prompt(
             "labels": [{"sentence_index": 0, "label": "CLEAR|VAGUE|AMBIGUOUS|INCORRECT|OMITTED"}]
         },
     }
-    return _render(TASK_LABEL_CONSISTENCY, _CONSISTENCY_INSTRUCTIONS, payload)
+    return Prompt(TASK_LABEL_CONSISTENCY, _CONSISTENCY_INSTRUCTIONS, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +481,7 @@ breaking it down into a clear set of numbered instructions.
 """
 
 
-def render_improve_prompt(draft: str) -> str:
+def render_improve_prompt(draft: str) -> Prompt:
     """Render the prompt-improvement request."""
     payload = {"draft": draft, "output_format": {"improved": "<improved prompt>"}}
-    return _render(TASK_IMPROVE_PROMPT, _IMPROVE_INSTRUCTIONS, payload)
+    return Prompt(TASK_IMPROVE_PROMPT, _IMPROVE_INSTRUCTIONS, payload)

@@ -1,8 +1,9 @@
 """A deterministic simulated LLM implementing the paper's prompt tasks.
 
 :class:`SimulatedLLM` plays the role of GPT-4o / GPT-o1 in the measurement
-frameworks.  It receives the exact prompts rendered by
-:mod:`repro.llm.prompts`, recovers the structured payload, and answers from:
+frameworks.  It receives the prompts built by
+:mod:`repro.llm.prompts`, reads each one's task and payload without rendering
+its text, and answers from:
 
 * a :class:`~repro.llm.knowledge.KeywordKnowledgeBase` built over a "world
   knowledge" taxonomy (by default the full built-in taxonomy);
@@ -27,7 +28,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.llm.base import ChatMessage, LLMClient, LLMResponse, UsageStats, estimate_tokens
+from repro.llm.base import (
+    ChatMessage,
+    LLMClient,
+    LLMResponse,
+    UsageStats,
+    estimate_tokens,
+    tokens_for_words,
+)
 from repro.llm.errors import ErrorModel
 from repro.llm.knowledge import KeywordKnowledgeBase
 from repro.llm import prompts
@@ -83,10 +91,24 @@ class SimulatedLLM(LLMClient):
     # LLMClient interface
     # ------------------------------------------------------------------
     def complete(self, messages: List[ChatMessage]) -> LLMResponse:
-        """Dispatch a prompt to the appropriate task handler."""
-        prompt_text = "\n\n".join(message.content for message in messages)
-        task = prompts.extract_task(prompt_text)
-        payload = prompts.extract_payload(prompt_text)
+        """Dispatch a prompt to the appropriate task handler.
+
+        The first :class:`~repro.llm.prompts.Prompt` among the messages is
+        read as it is; without one, the messages' text is read with
+        :func:`~repro.llm.prompts.parse_prompt`.  Prompt tokens count the
+        words of every message, as if their texts were joined into one.
+        """
+        prompt = None
+        words = 0
+        for message in messages:
+            if isinstance(message.content, prompts.Prompt):
+                prompt = prompt or message.content
+                words += message.content.word_count
+            else:
+                words += len(message.content.split())
+        if prompt is None:
+            prompt = prompts.parse_prompt("\n\n".join(message.content for message in messages))
+        task = prompt.task
         handlers = {
             prompts.TASK_CLASSIFY: self._handle_classify,
             prompts.TASK_CLASSIFY_CATEGORY: self._handle_classify_category,
@@ -99,10 +121,10 @@ class SimulatedLLM(LLMClient):
         handler = handlers.get(task)
         if handler is None:
             raise prompts.PromptError(f"simulated LLM has no handler for task {task!r}")
-        result = handler(payload)
+        result = handler(prompt.payload)
         content = json.dumps(result, ensure_ascii=False)
         usage = UsageStats(
-            prompt_tokens=estimate_tokens(prompt_text),
+            prompt_tokens=tokens_for_words(words),
             completion_tokens=estimate_tokens(content),
         )
         self.usage.add(usage)
@@ -115,17 +137,8 @@ class SimulatedLLM(LLMClient):
     # ------------------------------------------------------------------
     def _payload_taxonomy(self, payload: Mapping[str, object]) -> Dict[str, List[str]]:
         """Map category name -> list of data-type names from a prompt payload."""
-        taxonomy_summary = payload.get("taxonomy") or payload.get("existing_taxonomy") or {}
-        allowed: Dict[str, List[str]] = {}
-        if isinstance(taxonomy_summary, Mapping):
-            for category, info in taxonomy_summary.items():
-                types = []
-                if isinstance(info, Mapping):
-                    data_types = info.get("data_types", {})
-                    if isinstance(data_types, Mapping):
-                        types = list(data_types.keys())
-                allowed[str(category)] = [str(name) for name in types]
-        return allowed
+        summary = payload.get("taxonomy") or payload.get("existing_taxonomy") or {}
+        return prompts.taxonomy_type_names(summary)
 
     def _fewshot_labels(
         self, descriptions: Sequence[str], examples: Sequence[Mapping[str, str]]

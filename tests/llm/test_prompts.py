@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.llm import prompts
 from repro.taxonomy.builtin import load_builtin_taxonomy
@@ -22,8 +23,9 @@ class TestPromptRendering:
             [{"name_and_description": "email of the user", "examples": []}],
             [{"description": "the city", "category": "Location", "data_type": "City"}],
         )
-        assert prompts.extract_task(prompt) == prompts.TASK_CLASSIFY
-        payload = prompts.extract_payload(prompt)
+        parsed = prompts.parse_prompt(prompt.text)
+        assert parsed.task == prompts.TASK_CLASSIFY
+        payload = parsed.payload
         assert payload["entities"][0]["name_and_description"] == "email of the user"
         assert "Location" in payload["taxonomy"]
 
@@ -32,9 +34,9 @@ class TestPromptRendering:
         type_prompt = prompts.render_classification_prompt(
             taxonomy, [], [], phase="type", category="Location"
         )
-        assert prompts.extract_task(category_prompt) == prompts.TASK_CLASSIFY_CATEGORY
-        assert prompts.extract_task(type_prompt) == prompts.TASK_CLASSIFY_TYPE
-        assert prompts.extract_payload(type_prompt)["category"] == "Location"
+        assert prompts.parse_prompt(category_prompt.text).task == prompts.TASK_CLASSIFY_CATEGORY
+        assert prompts.parse_prompt(type_prompt.text).task == prompts.TASK_CLASSIFY_TYPE
+        assert prompts.parse_prompt(type_prompt.text).payload["category"] == "Location"
 
     def test_unknown_phase_rejected(self, taxonomy):
         with pytest.raises(prompts.PromptError):
@@ -44,12 +46,13 @@ class TestPromptRendering:
         prompt = prompts.render_refinement_prompt(
             taxonomy, [{"name_and_description": "wind speed", "amount_appears": 3}]
         )
-        assert prompts.extract_task(prompt) == prompts.TASK_REFINE_TAXONOMY
-        assert prompts.extract_payload(prompt)["entities"][0]["amount_appears"] == 3
+        parsed = prompts.parse_prompt(prompt.text)
+        assert parsed.task == prompts.TASK_REFINE_TAXONOMY
+        assert parsed.payload["entities"][0]["amount_appears"] == 3
 
     def test_collection_extraction_prompt_indexes_sentences(self):
         prompt = prompts.render_collection_extraction_prompt(["First.", "Second."])
-        payload = prompts.extract_payload(prompt)
+        payload = prompts.parse_prompt(prompt.text).payload
         assert payload["sentences"][1] == {"index": 1, "text": "Second."}
 
     def test_consistency_prompt(self):
@@ -57,13 +60,14 @@ class TestPromptRendering:
             {"category": "Location", "data_type": "City", "description": "A city."},
             [{"index": 0, "text": "We collect your city."}],
         )
-        assert prompts.extract_task(prompt) == prompts.TASK_LABEL_CONSISTENCY
-        payload = prompts.extract_payload(prompt)
+        parsed = prompts.parse_prompt(prompt.text)
+        assert parsed.task == prompts.TASK_LABEL_CONSISTENCY
+        payload = parsed.payload
         assert payload["data_entity"]["data_type"] == "City"
 
     def test_improve_prompt(self):
         prompt = prompts.render_improve_prompt("Classify things. Be careful.")
-        assert prompts.extract_task(prompt) == prompts.TASK_IMPROVE_PROMPT
+        assert prompts.parse_prompt(prompt.text).task == prompts.TASK_IMPROVE_PROMPT
 
     def test_taxonomy_summary_structure(self, taxonomy):
         summary = prompts.taxonomy_summary(taxonomy)
@@ -73,19 +77,19 @@ class TestPromptRendering:
 
 class TestPayloadExtraction:
     def test_missing_task_marker(self):
-        with pytest.raises(prompts.PromptError):
-            prompts.extract_task("no marker here")
+        with pytest.raises(prompts.PromptError, match="TASK"):
+            prompts.parse_prompt("no marker here\n### INPUT (JSON) ###\n{}\n### END INPUT ###")
 
     def test_missing_payload_block(self):
-        with pytest.raises(prompts.PromptError):
-            prompts.extract_payload("TASK: classify-data-descriptions\nno payload")
+        with pytest.raises(prompts.PromptError, match="payload"):
+            prompts.parse_prompt("TASK: classify-data-descriptions\nno payload")
 
     def test_invalid_payload_json(self):
         text = (
             "TASK: x\n### INPUT (JSON) ###\nnot json\n### END INPUT ###"
         )
         with pytest.raises(prompts.PromptError):
-            prompts.extract_payload(text)
+            prompts.parse_prompt(text)
 
 
 class TestResponseParsing:
@@ -224,7 +228,7 @@ class TestSplicedPayloadIdentity:
             }
             if category is not None:
                 payload["category"] = category
-            assert prompt == reference_render(*_PHASES[phase], payload)
+            assert prompt.text == reference_render(*_PHASES[phase], payload)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_refinement_and_consistency_prompts(self, seed):
@@ -233,7 +237,7 @@ class TestSplicedPayloadIdentity:
         entities = [
             {"name_and_description": adversarial_text(rng), "amount_appears": rng.randint(1, 5)}
         ]
-        assert prompts.render_refinement_prompt(taxonomy, entities) == reference_render(
+        assert prompts.render_refinement_prompt(taxonomy, entities).text == reference_render(
             prompts.TASK_REFINE_TAXONOMY,
             prompts._REFINE_INSTRUCTIONS,
             {
@@ -254,7 +258,9 @@ class TestSplicedPayloadIdentity:
         entity = {key: adversarial_text(rng) for key in ("category", "data_type", "description")}
         statements = [{"index": index, "text": adversarial_text(rng)} for index in range(3)]
         examples = adversarial_examples(rng, keys=("policy_text", "data_description", "label"))
-        assert prompts.render_consistency_prompt(entity, statements, examples) == reference_render(
+        assert prompts.render_consistency_prompt(
+            entity, statements, examples
+        ).text == reference_render(
             prompts.TASK_LABEL_CONSISTENCY,
             prompts._CONSISTENCY_INSTRUCTIONS,
             {
@@ -275,7 +281,7 @@ class TestSplicedPayloadIdentity:
 
         def rendered_summary():
             prompt = prompts.render_classification_prompt(taxonomy, entities, [])
-            assert prompt == reference_render(
+            assert prompt.text == reference_render(
                 *_PHASES["full"],
                 {
                     "taxonomy": prompts.taxonomy_summary(taxonomy),
@@ -284,7 +290,7 @@ class TestSplicedPayloadIdentity:
                     "output_format": _CLASSIFY_OUTPUT,
                 },
             )
-            return prompts.extract_payload(prompt)["taxonomy"]
+            return prompts.parse_prompt(prompt.text).payload["taxonomy"]
 
         before = rendered_summary()
         taxonomy.add_data_type(
@@ -311,7 +317,7 @@ class TestSplicedPayloadIdentity:
             taxonomy = adversarial_taxonomy(rng)
             examples = adversarial_examples(rng)
             prompt = prompts.render_classification_prompt(taxonomy, [], examples)
-            assert prompt == reference_render(
+            assert prompt.text == reference_render(
                 *_PHASES["full"],
                 {
                     "taxonomy": prompts.taxonomy_summary(taxonomy),
@@ -321,3 +327,138 @@ class TestSplicedPayloadIdentity:
                 },
             )
             assert len(prompts._FRAGMENTS) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Prompt values: word counts without rendering, and text read back
+# ---------------------------------------------------------------------------
+#: The adversarial alphabet plus whitespace that JSON leaves unescaped
+#: (``\xa0``, ``\x85``, ``\u3000``) and the separators ``\x1c``-``\x1f``,
+#: which ``str.split`` treats as whitespace but JSON escapes; and the
+#: prompt's own markers, which may appear inside payload strings.
+_WORD_ALPHABET = _ALPHABET + ("\xa0", "\x85", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f")
+_MARKERS = (prompts.TASK_MARKER + " x", prompts._PAYLOAD_START, prompts._PAYLOAD_END)
+
+word_text = st.lists(
+    st.one_of(st.sampled_from(_WORD_ALPHABET), st.sampled_from(_MARKERS)), max_size=8
+).map("".join)
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.floats(),
+        word_text,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(word_text, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+payloads = st.dictionaries(word_text, json_values, max_size=5)
+
+
+@st.composite
+def word_taxonomies(draw):
+    taxonomy = DataTaxonomy()
+    for category_index in range(draw(st.integers(1, 3))):
+        category = f"c{category_index} {draw(word_text)}"
+        taxonomy.add_category(category, draw(word_text))
+        for type_index in range(draw(st.integers(0, 3))):
+            taxonomy.add_data_type(
+                DataType(
+                    name=f"t{type_index} {draw(word_text)}",
+                    category=category,
+                    description=draw(word_text),
+                )
+            )
+    return taxonomy
+
+
+class TestPromptValue:
+    @settings(deadline=None)
+    @given(task=word_text, instructions=word_text, payload=payloads)
+    @example(task="t", instructions="", payload={})
+    @example(
+        task=prompts.TASK_CLASSIFY,
+        instructions=" Do it. ",
+        payload={
+            "é 中": {"": [], "x": {}, "😀": [[], {}, [None, True, False]]},
+            "n": [0, -7, 2.5, 1e300, float("inf"), float("nan")],
+            "s": ["\x1c\x1f", "a\xa0b", "\u3000", " \x85 ", ""],
+        },
+    )
+    def test_word_count_equals_rendered_split(self, task, instructions, payload):
+        prompt = prompts.Prompt(task, instructions, payload)
+        assert prompt.word_count == len(prompt.text.split())
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        taxonomy=word_taxonomies(),
+        descriptions=st.lists(word_text, max_size=3),
+        examples=st.lists(
+            st.fixed_dictionaries(
+                {"description": word_text, "category": word_text, "data_type": word_text}
+            ),
+            max_size=3,
+        ),
+        phase=st.sampled_from(sorted(_PHASES)),
+    )
+    def test_word_count_with_taxonomy_fragment(self, taxonomy, descriptions, examples, phase):
+        entities = [{"name_and_description": text, "examples": []} for text in descriptions]
+        category = "c0" if phase == "type" else None
+        for prompt in (
+            prompts.render_classification_prompt(
+                taxonomy, entities, examples, phase=phase, category=category
+            ),
+            prompts.render_refinement_prompt(
+                taxonomy,
+                [{"name_and_description": text, "amount_appears": 2} for text in descriptions],
+            ),
+        ):
+            assert prompt.word_count == len(prompt.text.split())
+
+    def test_word_count_does_not_render(self, taxonomy):
+        prompt = prompts.render_classification_prompt(
+            taxonomy, [{"name_and_description": "email of the user", "examples": []}]
+        )
+        assert prompt.word_count > 0
+        assert "text" not in vars(prompt)
+        assert prompt.word_count == len(prompt.text.split())
+
+    def test_text_is_kept_and_is_the_string_form(self):
+        prompt = prompts.render_improve_prompt("Classify things.")
+        assert prompt.text is prompt.text
+        assert str(prompt) == prompt.text
+
+    def test_prompt_does_not_equal_its_text(self):
+        prompt = prompts.render_improve_prompt("Classify things.")
+        assert prompt != prompt.text
+        assert prompt != prompts.render_improve_prompt("Classify things.")
+
+    def test_unserializable_payload_is_refused(self):
+        prompt = prompts.Prompt("t", "Do it.", {"value": object()})
+        with pytest.raises(TypeError):
+            prompt.word_count
+        with pytest.raises(TypeError):
+            prompt.text
+
+    @settings(deadline=None)
+    @given(
+        template=st.sampled_from(sorted(_PHASES.values())),
+        payload=payloads,
+        system=st.sampled_from(["", "You are a data classification assistant.\n"]),
+    )
+    def test_parse_prompt_reads_back_the_text(self, template, payload, system):
+        prompt = prompts.Prompt(*template, payload)
+        parsed = prompts.parse_prompt(system + "\n\n" + prompt.text)
+        assert parsed.task == prompt.task
+        assert parsed.text == prompt.text
+
+    def test_parse_prompt_reads_a_taxonomy_like_its_fragment(self, taxonomy):
+        prompt = prompts.render_classification_prompt(taxonomy, [], [])
+        summary = prompts.parse_prompt(prompt.text).payload["taxonomy"]
+        assert prompts.taxonomy_type_names(summary) == prompts.taxonomy_type_names(
+            prompt.payload["taxonomy"]
+        )
+        assert "City" in prompts.taxonomy_type_names(summary)["Location"]

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.suite import MeasurementSuite, SuiteConfig
@@ -179,3 +184,33 @@ class TestCommands:
         # Guard: the CLI error message enumerates the registry; make sure the
         # registry has not silently shrunk.
         assert len(EXPERIMENTS) >= 18
+
+
+class TestInvalidArguments:
+    """Values a config validator refuses end in a message and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--gpts", "0", "generate"], "n_gpts must be positive"),
+            (["--gpts", "-5", "generate"], "n_gpts must be positive"),
+            (["--gpts", "0", "evolve"], "n_gpts must be positive"),
+            (["--shards", "-1", "analyze"], "invalid SuiteConfig: shards must be >= 0"),
+            (
+                ["--shard-workers", "2", "analyze"],
+                "invalid SuiteConfig: shard_workers has no effect without sharding",
+            ),
+        ],
+    )
+    def test_exit_2_with_the_message_and_no_traceback(self, argv, message):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 2
+        assert message in completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert completed.stdout == ""

@@ -289,3 +289,67 @@ class TestFreshArtifacts:
         assert [entry.name for entry in load_report(tmp_path / "BENCH_merge.json").records] == [
             "other_module_row", "rerun_row"
         ]
+
+
+class TestUnits:
+    """Rows carry a unit: the RSS and payload rows are not timings."""
+
+    def test_table_and_gate_rows_print_each_value_with_its_unit(self):
+        report = PerfReport("unitdemo")
+        report.record("wall", baseline_s=2.0, optimized_s=1.0, items=1)
+        report.record("peak_rss", baseline_s=60.0, optimized_s=65.664, items=1, unit="MB")
+        report.record("pickle", baseline_s=8.0, optimized_s=0.02, items=1, unit="KB")
+        table = report.format_table()
+        assert "2.000 s " in table and "1.000 s " in table
+        assert "60.000 MB" in table and "65.664 MB" in table
+        assert "8.000 KB" in table and "0.020 KB" in table
+        assert "65.664s" not in table and "0.020s" not in table
+        row = perf_report.RegressionCheck(
+            "unitdemo", "peak_rss", committed_s=60.0, fresh_s=65.664, threshold=1.5, unit="MB"
+        ).format_row()
+        assert "60.000 MB" in row and "65.664 MB" in row and "s " not in row.split("peak_rss")[1]
+
+    def test_unit_survives_write_and_load(self, tmp_path):
+        report = PerfReport("unitdemo")
+        report.record("wall", baseline_s=2.0, optimized_s=1.0, items=1)
+        report.record("peak_rss", baseline_s=60.0, optimized_s=65.0, items=1, unit="MB")
+        loaded = load_report(_write(report, tmp_path))
+        assert [(entry.name, entry.unit) for entry in loaded.records] == [
+            ("wall", "s"),
+            ("peak_rss", "MB"),
+        ]
+
+    def test_rows_without_a_unit_load_as_seconds(self, tmp_path):
+        path = tmp_path / "BENCH_legacy.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "benchmark": "legacy",
+                    "records": [
+                        {"name": "row", "baseline_s": 2.0, "optimized_s": 1.0, "items": 1}
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert load_report(path)["row"].unit == "s"
+        committed = committed_report(Path("BENCH_scale.json"))
+        if committed is not None:
+            assert {entry.unit for entry in committed.records} <= {"s", "MB", "KB"}
+
+    def test_jitter_floor_applies_only_to_timings(self, tmp_path, monkeypatch):
+        committed = PerfReport("unitdemo")
+        committed.record("fast_timing", baseline_s=0.01, optimized_s=0.01, items=1)
+        committed.record("tiny_payload", baseline_s=8.0, optimized_s=0.02, items=1)
+        committed.record("slow_timing", baseline_s=1.0, optimized_s=1.0, items=1)
+        monkeypatch.setattr(perf_report, "committed_report", lambda path: committed)
+        fresh = PerfReport("unitdemo")
+        fresh.record("fast_timing", baseline_s=0.01, optimized_s=0.03, items=1)
+        fresh.record("tiny_payload", baseline_s=8.0, optimized_s=0.04, items=1, unit="KB")
+        fresh.record("slow_timing", baseline_s=1.0, optimized_s=1.2, items=1)
+        _write(fresh, tmp_path)
+        checks = perf_report.check_regressions(directory=tmp_path)
+        assert [(check.metric, check.unit, check.ok) for check in checks] == [
+            ("tiny_payload", "KB", False),
+            ("slow_timing", "s", True),
+        ]
