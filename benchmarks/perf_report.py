@@ -42,7 +42,7 @@ import platform
 import subprocess
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 #: Repository root (benchmarks/ lives directly below it).
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -124,12 +124,19 @@ class PerfReport:
         raise KeyError(name)
 
     def format_table(self) -> str:
-        """A compact, aligned timing table for terminal output."""
-        header = f"{'benchmark':<28} {'items':>7} {'baseline':>12} {'optimized':>12} {'speedup':>8}"
+        """A compact, aligned timing table for terminal output.
+
+        The name column is as wide as the longest name, header included.
+        """
+        width = max([len("benchmark")] + [len(entry.name) for entry in self.records])
+        header = (
+            f"{'benchmark':<{width}} {'items':>7} {'baseline':>12} {'optimized':>12} "
+            f"{'speedup':>8}"
+        )
         lines = [header, "-" * len(header)]
         for entry in self.records:
             lines.append(
-                f"{entry.name:<28} {entry.items:>7d} "
+                f"{entry.name:<{width}} {entry.items:>7d} "
                 f"{entry.baseline_s:>9.3f} {entry.unit:<2} "
                 f"{entry.optimized_s:>9.3f} {entry.unit:<2} "
                 f"{entry.speedup:>7.1f}x"
@@ -377,10 +384,11 @@ class RegressionCheck:
     def ok(self) -> bool:
         return self.slowdown <= self.threshold
 
-    def format_row(self) -> str:
+    def format_row(self, metric_width: int = 0) -> str:
+        """One gate row; ``metric_width`` pads the metric-name column."""
         status = "ok" if self.ok else "REGRESSION"
         return (
-            f"{self.benchmark:<10} {self.metric:<28} "
+            f"{self.benchmark:<10} {self.metric:<{metric_width}} "
             f"{self.committed_s:>9.3f} {self.unit:<2} {self.fresh_s:>9.3f} {self.unit:<2} "
             f"{self.slowdown:>6.2f}x  {status}"
         )
@@ -523,6 +531,19 @@ def stale_missing_failures(
     return failures
 
 
+def format_checks(checks: Sequence[RegressionCheck]) -> List[str]:
+    """The ``--check`` table: header, rule and one row per check.
+
+    The metric column is as wide as the longest metric name, header included.
+    """
+    width = max([len("metric")] + [len(check.metric) for check in checks])
+    header = (
+        f"{'benchmark':<10} {'metric':<{width}} {'committed':>12} {'fresh':>12} "
+        f"{'ratio':>6}  status"
+    )
+    return [header, "-" * len(header)] + [check.format_row(width) for check in checks]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI: print the merged trajectory, or gate on regressions with --check."""
     import argparse
@@ -549,14 +570,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     checks = check_regressions(threshold=args.threshold, min_baseline_s=args.min_baseline_s)
-    header = (
-        f"{'benchmark':<10} {'metric':<28} {'committed':>12} {'fresh':>12} "
-        f"{'ratio':>6}  status"
-    )
-    print(header)
-    print("-" * len(header))
-    for check in checks:
-        print(check.format_row())
+    for line in format_checks(checks):
+        print(line)
     notices = gated_metric_notices()
     if notices:
         print()

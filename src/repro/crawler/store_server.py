@@ -9,6 +9,7 @@ logic is genuinely exercised.
 
 from __future__ import annotations
 
+import functools
 import html
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ class GPTStoreServer:
     name:
         Store name (e.g. ``"plugin.surf"``).
     listings:
-        The GPT listings this store indexes.
+        The GPT listings this store indexes; fixed once pages are served.
     page_size:
         Listings per page.
     pagination_style:
@@ -81,10 +82,19 @@ class GPTStoreServer:
         cursor = params.get("after")
         if not cursor:
             return 1
+        return self._cursor_pages.get(cursor, self.n_pages + 1)
+
+    @functools.cached_property
+    def _cursor_pages(self) -> Dict[str, int]:
+        """The page a "load more" cursor opens, for each listed id.
+
+        A cursor names the last listing of the page before, so the page is
+        the one after its id's first position.
+        """
+        pages: Dict[str, int] = {}
         for index, listing in enumerate(self.listings):
-            if listing.gpt_id == cursor:
-                return index // self.page_size + 2
-        return self.n_pages + 1
+            pages.setdefault(listing.gpt_id, index // self.page_size + 2)
+        return pages
 
     def _handle(self, url: str) -> SimulatedResponse:
         page = self._page_for(url)

@@ -274,7 +274,8 @@ def evolve_ecosystem(
     prevalent_specs = _recover_prevalent_specs(ecosystem)
 
     # 3. Action churn: half the sampled GPTs lose an Action, half gain one.
-    churn_pool = [g for g in surviving if g not in set(delta.redescribed_gpt_ids)]
+    redescribed = set(delta.redescribed_gpt_ids)
+    churn_pool = [g for g in surviving if g not in redescribed]
     churned = _sample(rng, churn_pool, evolution.action_churn_rate)
     for position, gpt_id in enumerate(churned):
         manifest = evolved.gpts[gpt_id]

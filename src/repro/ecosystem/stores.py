@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence
 
 from repro.ecosystem.config import PAPER_STORE_COUNTS, StoreConfig
 from repro.ecosystem.models import GPTManifest, StoreListing
+from repro.ecosystem.naming import randbelow
 
 #: The thirteen stores of Table 1 at their paper-reported sizes.
 STORE_CATALOG: List[StoreConfig] = [
@@ -51,9 +52,10 @@ def assign_listings(
     listings: Dict[str, List[StoreListing]] = {name: [] for name in store_names}
     membership: Dict[str, set] = {name: set() for name in store_names}
 
-    # Pass 1: every GPT lands in at least one store.
-    for gpt in gpts:
-        primary = rng.choices(store_names, weights=sizes, k=1)[0]
+    # Pass 1: every GPT lands in at least one store.  One ``choices`` call
+    # makes the same ``random()`` draws, in order, as one call per GPT.
+    primaries = rng.choices(store_names, weights=sizes, k=len(gpts))
+    for gpt, primary in zip(gpts, primaries):
         membership[primary].add(gpt.gpt_id)
 
     # Pass 2: top stores up to their index size, creating overlap.
@@ -65,7 +67,7 @@ def assign_listings(
         guard = 0
         while len(pool) < target and guard < 20 * target:
             guard += 1
-            pool.add(rng.choice(gpt_ids))
+            pool.add(gpt_ids[randbelow(rng, len(gpt_ids))])
         domain = store_domain(store.name)
         for gpt_id in sorted(pool):
             listings[store.name].append(

@@ -144,6 +144,152 @@ def _gpt_from_trusted_payload(payload: Dict[str, object]) -> CrawledGPT:
     )
 
 
+# ---------------------------------------------------------------------------
+# Raw shard lines: scans and splices that skip the JSON round trip
+# ---------------------------------------------------------------------------
+#: Structural key markers in canonical-JSON shard lines.  canonical_json
+#: escapes quotes inside string values, so the unescaped marker can only
+#: occur as the record's own key — a substring scan replaces a full JSON
+#: parse on the incremental crawl's carry path and the longitudinal
+#: inventory.
+_GPT_ID_MARKER = '"gpt_id":"'
+_POLICY_URL_MARKER = '"url":"'
+
+
+def _scan_string_field(line: str, marker: str, key: str) -> str:
+    """Extract one top-level string field from a canonical-JSON line."""
+    start = line.find(marker)
+    if start >= 0:
+        start += len(marker)
+        end = line.index('"', start)
+        value = line[start:end]
+        if "\\" not in value:
+            return value
+    # Escaped or missing value: fall back to a real parse (never hit by
+    # generated ids/URLs, which are plain ASCII without quotes).
+    return str(json.loads(line)[key])
+
+
+def _payload_gpt_id(line: str) -> str:
+    """``gpt_id`` of one GPT shard line, without parsing the record."""
+    return _scan_string_field(line, _GPT_ID_MARKER, "gpt_id")
+
+
+def _payload_policy_url(line: str) -> str:
+    """``url`` of one policy shard line, without parsing the record."""
+    return _scan_string_field(line, _POLICY_URL_MARKER, "url")
+
+
+_DISCOVERY_INDEX_MARKER = '"discovery_index":'
+_SOURCE_STORES_MARKER = '"source_stores":['
+_LEGAL_INFO_MARKER = '"legal_info_url":"'
+
+
+def _serialize_store_list(stores: Sequence[str]) -> Optional[str]:
+    """``canonical_json`` of a flat store-name list, without the encoder.
+
+    Valid only for names that need no JSON escaping (anything the generator
+    produces; ``ensure_ascii=False`` keeps non-ASCII raw, so only quotes,
+    backslashes, and control characters disqualify a name).  Returns
+    ``None`` when a name would need escaping — callers fall back to the
+    real encoder path.
+    """
+    for store in stores:
+        if '"' in store or "\\" in store or any(ord(char) < 0x20 for char in store):
+            return None
+    return "[" + ",".join(f'"{store}"' for store in stores) + "]"
+
+
+def _restamp_carried_line(line: str, discovery_index: int, stores_json: str) -> Optional[str]:
+    """Splice the two epoch-local fields into a carried record's raw line.
+
+    A carried record's *content* bytes are already canonical (the parent
+    wrote them with :func:`canonical_json`, which is deterministic), so the
+    only bytes that change between epochs are the ``discovery_index`` value
+    and the ``source_stores`` array — both epoch-N+1 facts.  Splicing them
+    in place (``stores_json`` is the pre-serialized replacement array)
+    yields the exact line a fresh serialization would produce at a fraction
+    of the cost of the ``json.loads``/re-dump round trip, which is what
+    dominated the carry phase's wall time at 50k records.  Returns ``None``
+    when the line doesn't match the expected shape (the caller falls back
+    to a real parse).
+    """
+    start = line.find(_DISCOVERY_INDEX_MARKER)
+    if start < 0:
+        return None
+    start += len(_DISCOVERY_INDEX_MARKER)
+    end = start
+    while end < len(line) and line[end].isdigit():
+        end += 1
+    if end == start or end >= len(line) or line[end] not in ",}":
+        return None
+    line = f"{line[:start]}{discovery_index}{line[end:]}"
+
+    start = line.find(_SOURCE_STORES_MARKER)
+    if start < 0:
+        return None
+    start += len(_SOURCE_STORES_MARKER) - 1  # index of the opening '['
+    end = line.find("]", start)
+    if end < 0 or end + 1 >= len(line) or line[end + 1] not in ",}":
+        return None
+    segment = line[start:end]
+    # The first ']' is the array's close only if no store name hides one
+    # inside a string: no escapes, balanced quotes, and a single '[' mean
+    # every quote in the segment is a real delimiter and the array is flat.
+    if "\\" in segment or segment.count('"') % 2 or segment.count("[") != 1:
+        return None
+    return f"{line[:start]}{stores_json}{line[end + 1:]}"
+
+
+def _scan_policy_urls(line: str) -> Optional[List[str]]:
+    """Every action ``legal_info_url`` in a GPT record's raw line.
+
+    Returns ``None`` when any URL contains an escape sequence (the caller
+    must fall back to parsing the record); ``null`` and empty URLs simply
+    don't match the marker or are dropped.
+    """
+    urls: List[str] = []
+    cursor = 0
+    while True:
+        cursor = line.find(_LEGAL_INFO_MARKER, cursor)
+        if cursor < 0:
+            return urls
+        cursor += len(_LEGAL_INFO_MARKER)
+        end = line.index('"', cursor)
+        value = line[cursor:end]
+        if "\\" in value:
+            return None
+        if value:
+            urls.append(value)
+        cursor = end
+
+
+def gpt_content_key(payload: Mapping[str, object]) -> str:
+    """Content key of one GPT record payload.
+
+    The SHA-256 of its canonical JSON with the two epoch-local fields
+    normalized (``discovery_index`` 0, ``source_stores`` empty), so a
+    record that only moved in the frontier or between stores keeps its key.
+    """
+    normalized = dict(payload)
+    normalized[DISCOVERY_INDEX_KEY] = 0
+    normalized["source_stores"] = []
+    return hashlib.sha256(canonical_json(normalized).encode("utf-8")).hexdigest()
+
+
+def gpt_line_content_key(line: str) -> str:
+    """:func:`gpt_content_key` of one GPT shard line, read from its bytes.
+
+    The carry path's splice normalizes the two fields in place; a line it
+    refuses is parsed instead.  For a line the shard writer wrote (canonical
+    JSON), either way the key equals ``gpt_content_key(json.loads(line))``.
+    """
+    normalized = _restamp_carried_line(line, 0, "[]")
+    if normalized is None:
+        return gpt_content_key(json.loads(line))
+    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class ShardInfo:
     """Manifest metadata for one shard file."""
@@ -588,6 +734,16 @@ class ShardedCorpusStore:
         else:
             raise ValueError(f"unknown shard kind {kind!r} (want 'gpts' or 'policies')")
         return self._iter_lines(infos[index].name)
+
+    def iter_content_keys(self) -> Iterator[Tuple[str, str]]:
+        """Stream every GPT record's ``(gpt_id, content key)``, shard-major.
+
+        Keys are read from the raw lines (:func:`gpt_line_content_key`), so
+        no record is parsed unless its line takes the slow path.
+        """
+        for index in range(self.n_shards):
+            for line in self.iter_shard_lines("gpts", index):
+                yield _payload_gpt_id(line), gpt_line_content_key(line)
 
     def iter_shard_gpts(self, index: int) -> Iterator[CrawledGPT]:
         """Stream the GPT records of one shard (one object live at a time)."""

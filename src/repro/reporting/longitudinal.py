@@ -7,17 +7,21 @@ takes a sequence of crawled epochs — any mix of
 stores, incremental stores) — and derives per-transition churn metrics:
 
 * **corpus churn** — GPT records added, removed, and content-changed
-  between consecutive epochs.  "Changed" compares record *content* (the
-  canonical payload minus the re-stamped facts ``discovery_index`` and
-  ``source_stores``), so a record that merely moved within the listing
-  frontier or shifted stores does not count as churn;
+  between consecutive epochs.  "Changed" compares record *content*: the
+  canonical shard line with the two re-stamped facts normalized
+  (``discovery_index`` 0, ``source_stores`` empty), so a record that
+  merely moved within the listing frontier or shifted stores does not
+  count as churn.  A sharded store's keys are hashed from its raw lines,
+  shard by shard (:meth:`~repro.io.shards.ShardedCorpusStore.iter_content_keys`);
+  an in-memory corpus's from the same canonical payload;
 * **policy churn and drift** — policy URLs added/removed, documents whose
   bytes drifted (revision rotations, vendor re-issues), and per-epoch
   availability, the Section 5.1.1 metric tracked over time.
 
 Everything streams record-by-record (one content hash per record is
 retained, never the records themselves), so a longitudinal series of
-sharded epochs is analyzed in bounded memory.
+sharded epochs is analyzed in bounded memory.  Only keys are compared, so
+records are read in storage order, never merged into discovery order.
 """
 
 from __future__ import annotations
@@ -26,19 +30,16 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.io.artifacts import canonical_json
 from repro.io.corpus import gpt_to_payload
-from repro.io.shards import DISCOVERY_INDEX_KEY
+from repro.io.shards import ShardedCorpusStore, gpt_content_key
 from repro.reporting.markdown import format_table
 
 
-def _record_content_hash(gpt) -> str:
-    """Content address of one GPT record, ignoring re-stamped crawl facts."""
-    payload = gpt_to_payload(gpt)
-    payload.pop(DISCOVERY_INDEX_KEY, None)
-    payload.pop("source_stores", None)
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()
+def _record_content_keys(source) -> Dict[str, str]:
+    """``gpt_id → content key`` of every GPT record of one epoch."""
+    if isinstance(source, ShardedCorpusStore):
+        return dict(source.iter_content_keys())
+    return {gpt.gpt_id: gpt_content_key(gpt_to_payload(gpt)) for gpt in source.iter_records()}
 
 
 def _policy_signature(result) -> Tuple[int, str]:
@@ -115,7 +116,7 @@ class LongitudinalReport:
 
 def _epoch_inventory(source) -> Tuple[Dict[str, str], Dict[str, Tuple[int, str]], float]:
     """Content hashes and policy signatures of one epoch (one streaming pass)."""
-    records = {gpt.gpt_id: _record_content_hash(gpt) for gpt in source.iter_records()}
+    records = _record_content_keys(source)
     policies: Dict[str, Tuple[int, str]] = {}
     n_available = 0
     for result in _iter_policies(source):

@@ -9,26 +9,32 @@ parsing and re-encoding it.  Each helper must give the answer of
 ``None``; never a different answer.  Records are hypothesis-generated with
 the shard schema (``gpt_to_payload``) and adversarial strings: escapes,
 quotes, backslashes, brackets, control and non-ASCII characters, and the
-helpers' own key markers inside values.
+helpers' own key markers inside values.  The longitudinal report's
+content key (``gpt_line_content_key``) uses the same splice and is checked
+the same way.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.crawler.corpus import CrawledAction, CrawledGPT
-from repro.crawler.pipeline import (
+from repro.crawler.policy_fetcher import PolicyFetchResult
+from repro.io import canonical_json, gpt_to_payload, policy_to_payload
+from repro.io.shards import (
+    DISCOVERY_INDEX_KEY,
     _payload_gpt_id,
     _payload_policy_url,
     _restamp_carried_line,
     _scan_policy_urls,
     _serialize_store_list,
+    gpt_content_key,
+    gpt_line_content_key,
 )
-from repro.crawler.policy_fetcher import PolicyFetchResult
-from repro.io import canonical_json, gpt_to_payload, policy_to_payload
-from repro.io.shards import DISCOVERY_INDEX_KEY
 
 #: Pieces that break naive scanning: JSON syntax, escapes, control and
 #: non-ASCII characters, and the key markers the fast paths search for.
@@ -159,3 +165,47 @@ def test_plain_records_take_the_fast_paths():
     expected = json.loads(line)
     expected.update({DISCOVERY_INDEX_KEY: 42, "source_stores": ["gptstore.ai", "plugin.surf"]})
     assert _restamp_carried_line(line, 42, stores_json) == canonical_json(expected)
+
+
+def _content_key_oracle(line: str) -> str:
+    """sha256 of the parsed record re-encoded with the two fields normalized."""
+    record = json.loads(line)
+    record[DISCOVERY_INDEX_KEY] = 0
+    record["source_stores"] = []
+    return hashlib.sha256(canonical_json(record).encode("utf-8")).hexdigest()
+
+
+@settings(deadline=None)
+@given(gpt=gpts, discovery_index=discovery_indices)
+def test_line_content_key_matches_the_parsed_payload(gpt, discovery_index):
+    """Spliced or parsed, a line's key is its canonical payload's key."""
+    line = _gpt_line(gpt, discovery_index)
+    key = gpt_line_content_key(line)
+    assert key == _content_key_oracle(line)
+    # The in-memory corpus path keys the same record identically.
+    assert key == gpt_content_key(gpt_to_payload(gpt))
+
+
+def test_refused_lines_take_the_parse_path_with_the_same_key():
+    action = CrawledAction(
+        action_id="a-1", title="T", description="D", server_url="https://s.io",
+        legal_info_url="https://s.io/privacy", functionality="f", auth_type="none",
+        parameters=[],
+    )
+    # A store name hiding ']' and a quote makes the splice refuse the line.
+    gpt = CrawledGPT(
+        gpt_id="g-1", name="N", description="D", author_name="A", author_website=None,
+        vendor_domain=None, actions=[action], source_stores=['odd"]store'],
+    )
+    line = _gpt_line(gpt, 3)
+    assert _restamp_carried_line(line, 0, "[]") is None
+    assert gpt_line_content_key(line) == _content_key_oracle(line)
+    # A schema-1 line has no discovery index to splice.
+    legacy = canonical_json(gpt_to_payload(gpt))
+    assert _restamp_carried_line(legacy, 0, "[]") is None
+    assert gpt_line_content_key(legacy) == gpt_line_content_key(line)
+    # Moving in the frontier or between stores keeps the key; content does not.
+    moved = replace(gpt, source_stores=["gptstore.ai"])
+    assert gpt_line_content_key(_gpt_line(moved, 99)) == gpt_line_content_key(line)
+    edited = replace(gpt, description="D2")
+    assert gpt_line_content_key(_gpt_line(edited, 3)) != gpt_line_content_key(line)

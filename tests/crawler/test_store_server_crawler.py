@@ -108,3 +108,65 @@ class TestStoreCrawler:
         )
         assert servers[0].pagination_style == "numbered"
         assert servers[1].pagination_style == "cursor"
+
+
+def _linear_scan_page(server: GPTStoreServer, cursor: str) -> int:
+    """The page a cursor opens, found by scanning from the first listing."""
+    for index, listing in enumerate(server.listings):
+        if listing.gpt_id == cursor:
+            return index // server.page_size + 2
+    return server.n_pages + 1
+
+
+class TestCursorPages:
+    @pytest.fixture
+    def server(self):
+        listings = build_listings(137)
+        dead = StoreListing(
+            gpt_id="g-deadcur00001",
+            title="Removed GPT",
+            link="https://cursor.example/gpts/g-deadcur00001",
+            dead=True,
+        )
+        listings.insert(60, dead)
+        return GPTStoreServer(
+            name="cursor.example", listings=listings, page_size=25, pagination_style="cursor"
+        )
+
+    @pytest.mark.parametrize(
+        "cursor",
+        ["g-abcde0000", "g-abcde0024", "g-abcde0068", "g-abcde0136", "g-deadcur00001", "g-nope"],
+    )
+    def test_cursor_page_matches_a_linear_scan(self, server, cursor):
+        page = server._page_for(f"{server.base_url}?after={cursor}")
+        assert page == _linear_scan_page(server, cursor)
+
+    def test_unknown_and_missing_cursors(self, server):
+        assert server._page_for(f"{server.base_url}?after=g-nope") == server.n_pages + 1
+        assert server._page_for(server.base_url) == 1
+        assert server._page_for(f"{server.base_url}?after=") == 1
+
+    def test_a_repeated_id_resolves_to_its_first_position(self):
+        listings = build_listings(137)
+        listings.insert(110, listings[3])
+        server = GPTStoreServer(
+            name="cursor.example", listings=listings, page_size=25, pagination_style="cursor"
+        )
+        assert server._page_for(f"{server.base_url}?after=g-abcde0003") == 2
+        assert _linear_scan_page(server, "g-abcde0003") == 2
+
+    def test_cursor_crawl_visits_the_same_pages_in_order(self, server):
+        http = SimulatedHTTPLayer()
+        server.install(http)
+        result = StoreCrawler(http).crawl(server.name, server.base_url)
+        cursors = [
+            server.listings[page * server.page_size - 1].gpt_id
+            for page in range(1, server.n_pages)
+        ]
+        assert http.recent_requests() == [server.base_url] + [
+            f"{server.base_url}?after={cursor}" for cursor in cursors
+        ]
+        pages = [1] + [_linear_scan_page(server, cursor) for cursor in cursors]
+        assert pages == list(range(1, server.n_pages + 1))
+        assert result.pages_visited == server.n_pages
+        assert result.n_links == len(server.listings)

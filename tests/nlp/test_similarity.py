@@ -40,6 +40,34 @@ class TestJaccard:
     def test_disjoint(self):
         assert jaccard_similarity({1}, {2}) == 0.0
 
+    @given(
+        a=st.lists(st.integers(0, 40), max_size=40),
+        b=st.lists(st.integers(0, 40), max_size=40),
+    )
+    def test_equals_the_union_formula_exactly(self, a, b):
+        """Every input kind gives the float ``|a ∩ b| / |a ∪ b|`` of copied sets."""
+        set_a, set_b = set(a), set(b)
+        expected = len(set_a & set_b) / len(set_a | set_b) if set_a or set_b else 1.0
+        for left, right in (
+            (set_a, set_b),
+            (frozenset(a), frozenset(b)),
+            (a, b),
+            (set_a, frozenset(b)),
+            (iter(a), tuple(b)),
+        ):
+            assert jaccard_similarity(left, right) == expected
+
+    def test_empty_inputs(self):
+        for empty in (set(), frozenset(), [], ()):
+            assert jaccard_similarity(empty, empty) == 1.0
+            assert jaccard_similarity(empty, {1, 2}) == 0.0
+            assert jaccard_similarity([3, 3], empty) == 0.0
+
+    def test_inputs_are_not_modified(self):
+        a, b = {1, 2, 3}, frozenset({3, 4})
+        jaccard_similarity(a, b)
+        assert a == {1, 2, 3} and b == frozenset({3, 4})
+
 
 class TestShingles:
     def test_shingle_count(self):

@@ -92,6 +92,16 @@ class TestAnalyzeEpochs:
         from_stores = analyze_epochs(epoch_data["stores"])
         assert from_stores.transitions == from_corpora.transitions
 
+    def test_mixed_layouts_match_corpora(self, epoch_data):
+        """Raw-line store keys equal in-memory payload keys, in either order."""
+        corpora, stores = epoch_data["corpora"], epoch_data["stores"]
+        from_corpora = analyze_epochs(corpora)
+        assert analyze_epochs([corpora[0], stores[1]]).transitions == from_corpora.transitions
+        assert analyze_epochs([stores[0], corpora[1]]).transitions == from_corpora.transitions
+        same_epoch = analyze_epochs([stores[0], corpora[0]]).transitions[0]
+        assert (same_epoch.records_added, same_epoch.records_removed) == (0, 0)
+        assert same_epoch.records_changed == 0
+
     def test_identical_epochs_zero_churn(self, epoch_data):
         corpus = epoch_data["corpora"][0]
         report = analyze_epochs([corpus, corpus])

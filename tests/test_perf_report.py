@@ -353,3 +353,35 @@ class TestUnits:
             ("tiny_payload", "KB", False),
             ("slow_timing", "s", True),
         ]
+
+
+class TestColumnWidths:
+    """The name column fits the longest name, so values stay in column."""
+
+    LONG = "crawl_2000_sharded_vs_unsharded_rss_mb"
+
+    def test_a_38_character_name_keeps_every_value_column_aligned(self):
+        assert len(self.LONG) == 38
+        report = PerfReport("widths")
+        checks = []
+        for name in ("wall", self.LONG):
+            report.record(name, baseline_s=60.0, optimized_s=65.664, items=3, unit="MB")
+            checks.append(
+                perf_report.RegressionCheck(
+                    "crawl", name, committed_s=60.0, fresh_s=65.664, threshold=1.5, unit="MB"
+                )
+            )
+        table = report.format_table().splitlines()
+        gate = perf_report.format_checks(checks)
+        assert len({len(line) for line in table}) == 1
+        for lines, offset, label in (
+            (table, len(self.LONG), "benchmark"),
+            (gate, 10 + 1 + len(self.LONG), "metric"),
+        ):
+            header, _, short_row, long_row = lines
+            # The name column ends at the same offset on every line, and
+            # equal values print identically after it.
+            assert header[:offset].rstrip().endswith(label)
+            assert long_row[:offset].rstrip().endswith(self.LONG)
+            assert header[offset] == short_row[offset] == long_row[offset] == " "
+            assert short_row[offset:] == long_row[offset:]
