@@ -57,8 +57,8 @@ Measures the properties that make the sharded data layer safe to use at
   payload-size gate); the broadcast contract must shrink per-task pickles
   ≥``MIN_PICKLE_SHRINK``×.
 
-Both child probes share an import-time RSS floor (numpy and networkx,
-~52 MB) that dominates their peak readings, so the 2x ratio alone cannot
+Both child probes share an import-time RSS floor (numpy and the package,
+~39 MB) that dominates their peak readings, so the 2x ratio alone cannot
 see a regression — or an allocator/THP artifact — that inflates both sides
 equally.  Two guards close that hole: each child also reports its RSS right
 after imports (persisted under ``invariants`` so a baseline diff shows
@@ -94,7 +94,7 @@ from repro.analysis import (
     analyze_tool_usage,
     build_party_index,
 )
-from repro.analysis.streaming import analyze_shards
+from repro.analysis.streaming import ShardAnalysisRunner
 from repro.crawler.pipeline import CrawlPipeline
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import EcosystemGenerator
@@ -263,7 +263,7 @@ _CHILD_SHARDED_50K = f"""
 import json, resource, tempfile, time
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import generate_sharded_corpus
-from repro.analysis.streaming import analyze_shards
+from repro.analysis.streaming import ShardAnalysisRunner
 from repro.analysis import (analyze_crawl_stats, analyze_tool_usage,
     analyze_multi_action, analyze_cooccurrence, build_party_index)
 from repro.io import canonical_json
@@ -273,6 +273,10 @@ rss_import_raw = peak_rss_raw()
 
 {inspect.getsource(_single_pass)}
 {inspect.getsource(_best)}
+def stream(store):
+    with ShardAnalysisRunner(store, workers={WORKERS}) as runner:
+        return runner.run({_ANALYSES!r})
+
 def fingerprint(results):
     stats = results["crawl_stats"]
     tools = results["tool_usage"]
@@ -301,7 +305,7 @@ with tempfile.TemporaryDirectory() as root:
     ingest_s = time.monotonic() - t0
 
     stream_s, streamed = _best(
-        lambda: analyze_shards(store, names={_ANALYSES!r}, workers={WORKERS}),
+        lambda: stream(store),
         repeats={CHILD_REPEATS},
     )
     # Peak RSS of the *sharded* phase: sampled before the single-pass
@@ -330,7 +334,7 @@ _CHILD_CLASSIFY_50K = f"""
 import json, resource, tempfile, time
 from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import generate_sharded_corpus
-from repro.analysis.streaming import classify_shards
+from repro.analysis.streaming import ShardAnalysisRunner
 from repro.classification.classifier import ClassifierConfig
 from repro.llm.simulated import SimulatedLLM
 from repro.taxonomy.builtin import load_builtin_taxonomy
@@ -358,14 +362,13 @@ with tempfile.TemporaryDirectory() as root:
     # Zero-shot, so no 50k-scale ground-truth labelling rides the probe;
     # the memory shape (streamed extraction rows + chunked label lists)
     # is the same with or without few-shot retrieval.
-    result = classify_shards(
-        store,
-        taxonomy=taxonomy,
-        llm=llm,
-        fewshot_store=None,
-        config=ClassifierConfig(use_fewshot=False),
-        workers={WORKERS},
-    )
+    with ShardAnalysisRunner(store, workers={WORKERS}) as runner:
+        result = runner.classify(
+            taxonomy=taxonomy,
+            llm=llm,
+            fewshot_store=None,
+            config=ClassifierConfig(use_fewshot=False),
+        )
     classify_s = time.monotonic() - t1
 
 print(json.dumps({{
@@ -415,10 +418,12 @@ def test_paper_scale_stream_parity(tmp_path, paper_ecosystem):
     corpus = CrawlPipeline.from_ecosystem(paper_ecosystem, seed=SEED).run()
     store = ShardedCorpusStore.write_corpus(corpus, tmp_path / "shards", n_shards=SHARDS_PAPER)
 
+    def stream():
+        with ShardAnalysisRunner(store, workers=WORKERS) as runner:
+            return runner.run(_ANALYSES)
+
     single_s, _ = _best(lambda: _single_pass(store.load_corpus()), repeats=5)
-    stream_s, _ = _best(
-        lambda: analyze_shards(store, names=_ANALYSES, workers=WORKERS), repeats=5
-    )
+    stream_s, _ = _best(stream, repeats=5)
 
     entry = REPORT.record(
         "scale_2000_stream_vs_single",
@@ -474,14 +479,12 @@ def test_stress_scale_process_backend_scales(tmp_path):
         n_shards=SHARDS_STRESS,
         flush_every=500,
     )
-    thread_s, threaded = _best(
-        lambda: analyze_shards(store, names=_ANALYSES, workers=workers, backend="thread"),
-        repeats=CHILD_REPEATS,
-    )
-    process_s, processed = _best(
-        lambda: analyze_shards(store, names=_ANALYSES, workers=workers, backend="process"),
-        repeats=CHILD_REPEATS,
-    )
+    def stream(backend):
+        with ShardAnalysisRunner(store, workers=workers, backend=backend) as runner:
+            return runner.run(_ANALYSES)
+
+    thread_s, threaded = _best(lambda: stream("thread"), repeats=CHILD_REPEATS)
+    process_s, processed = _best(lambda: stream("process"), repeats=CHILD_REPEATS)
     # Identical results on both backends — the invariant that makes the
     # backend a pure execution knob.
     assert (
@@ -541,7 +544,6 @@ def test_paper_scale_classify_stream_vs_materialize(tmp_path, paper_ecosystem):
     """At 2000 GPTs, shard-partitioned classification must cost at most
     ``MAX_CLASSIFY_WALL_RATIO``x materialize-then-classify, with
     byte-identical labels."""
-    from repro.analysis.streaming import classify_shards
     from repro.classification.classifier import ClassifierConfig, DataCollectionClassifier
     from repro.classification.descriptions import extract_descriptions
     from repro.io import canonical_json, classification_to_payload
@@ -562,10 +564,10 @@ def test_paper_scale_classify_stream_vs_materialize(tmp_path, paper_ecosystem):
         return classifier.classify_many(extract_descriptions(rebuilt))
 
     def streamed():
-        return classify_shards(
-            store, taxonomy=taxonomy, llm=llm, fewshot_store=None,
-            config=config, workers=WORKERS,
-        )
+        with ShardAnalysisRunner(store, workers=WORKERS) as runner:
+            return runner.classify(
+                taxonomy=taxonomy, llm=llm, fewshot_store=None, config=config
+            )
 
     (single_s, single), (stream_s, streamed_result) = _best_interleaved(
         materialize_then_classify, streamed, repeats=CHILD_REPEATS

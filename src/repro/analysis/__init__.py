@@ -9,10 +9,10 @@ consistency (Figures 9–12, Table 7).  :class:`MeasurementSuite` runs the whole
 pipeline once and exposes every analysis from a single object.
 
 Every corpus-driven analyzer is built on a streaming *accumulator*
-(``update``/``merge``/``finalize``) so the same measurement runs either as a
-single pass over an in-memory corpus or shard-parallel over a
-:class:`~repro.io.shards.ShardedCorpusStore`
-(:mod:`repro.analysis.streaming`), with byte-identical results.
+(``update``/``merge``/``finalize``).  The suite runs them shard-parallel
+over any :class:`~repro.io.CorpusSource` (:mod:`repro.analysis.streaming`);
+the ``analyze_*`` functions run the same accumulators in one pass over an
+in-memory corpus, with byte-identical results.
 """
 
 from repro.analysis.party import ActionPartyIndex, build_party_index
@@ -32,11 +32,7 @@ from repro.analysis.disclosure import (
     DisclosureAnalysis,
     analyze_disclosure,
 )
-from repro.analysis.streaming import (
-    STREAMABLE_ANALYSES,
-    ShardAnalysisRunner,
-    analyze_shards,
-)
+from repro.analysis.streaming import STREAMABLE_ANALYSES, ShardAnalysisRunner
 from repro.analysis.suite import MeasurementSuite
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "build_party_index",
     "STREAMABLE_ANALYSES",
     "ShardAnalysisRunner",
-    "analyze_shards",
     "CrawlStatsAnalysis",
     "analyze_crawl_stats",
     "ToolUsageAnalysis",

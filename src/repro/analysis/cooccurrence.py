@@ -10,9 +10,7 @@ often with the advertising/analytics services.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.io import CorpusSource
 
@@ -21,7 +19,11 @@ from repro.io import CorpusSource
 class CooccurrenceAnalysis:
     """The co-occurrence graph and derived statistics."""
 
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    #: Adjacency map: action id → {partner id → co-occurrence count}.  Node
+    #: order, and each node's partner order, is the order edges first name
+    #: them; ties in :meth:`top_by_weighted_degree`, :meth:`partners_of`
+    #: and :meth:`largest_component` break in that order.
+    neighbors: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Action id → human-readable name (for labelling prominent nodes).
     names: Dict[str, str] = field(default_factory=dict)
 
@@ -29,29 +31,25 @@ class CooccurrenceAnalysis:
     @property
     def n_nodes(self) -> int:
         """Number of Actions appearing in at least one co-occurrence."""
-        return self.graph.number_of_nodes()
+        return len(self.neighbors)
 
     @property
     def n_edges(self) -> int:
         """Number of distinct co-occurring Action pairs."""
-        return self.graph.number_of_edges()
+        return sum(len(partners) for partners in self.neighbors.values()) // 2
 
     def weighted_degree(self, action_id: str) -> int:
         """Weighted degree (sum of co-occurrence counts) of an Action."""
-        if action_id not in self.graph:
-            return 0
-        return int(self.graph.degree(action_id, weight="weight"))
+        return sum(self.neighbors.get(action_id, {}).values())
 
     def degree(self, action_id: str) -> int:
         """Unweighted degree (number of distinct partners) of an Action."""
-        if action_id not in self.graph:
-            return 0
-        return int(self.graph.degree(action_id))
+        return len(self.neighbors.get(action_id, ()))
 
     def top_by_weighted_degree(self, n: int = 10) -> List[Tuple[str, str, int]]:
         """The ``n`` Actions with the highest weighted degree."""
         ranked = sorted(
-            ((node, self.weighted_degree(node)) for node in self.graph.nodes),
+            ((node, self.weighted_degree(node)) for node in self.neighbors),
             key=lambda item: -item[1],
         )
         return [
@@ -59,27 +57,39 @@ class CooccurrenceAnalysis:
             for action_id, weight in ranked[:n]
         ]
 
-    def largest_component(self) -> nx.Graph:
-        """The largest connected component (the subgraph Figure 8 plots)."""
-        if self.graph.number_of_nodes() == 0:
-            return nx.Graph()
-        components = list(nx.connected_components(self.graph))
-        largest = max(components, key=len)
-        return self.graph.subgraph(largest).copy()
+    def largest_component(self) -> List[str]:
+        """Node ids of the largest connected component, in node order.
+
+        This is the subgraph Figure 8 plots.  Components are found by a
+        walk from each unseen node in node order; of equal-sized
+        components, the one found first wins.
+        """
+        seen: Set[str] = set()
+        largest: Set[str] = set()
+        for start in self.neighbors:
+            if start in seen:
+                continue
+            component = {start}
+            frontier = [start]
+            while frontier:
+                for partner in self.neighbors[frontier.pop()]:
+                    if partner not in component:
+                        component.add(partner)
+                        frontier.append(partner)
+            seen |= component
+            if len(component) > len(largest):
+                largest = component
+        return [node for node in self.neighbors if node in largest]
 
     def cooccurrence_count(self, action_a: str, action_b: str) -> int:
         """In how many GPTs two Actions co-occur."""
-        if self.graph.has_edge(action_a, action_b):
-            return int(self.graph[action_a][action_b]["weight"])
-        return 0
+        return self.neighbors.get(action_a, {}).get(action_b, 0)
 
     def partners_of(self, action_id: str) -> List[Tuple[str, str, int]]:
         """Partners of an Action sorted by co-occurrence weight."""
-        if action_id not in self.graph:
-            return []
         partners = [
-            (neighbor, self.names.get(neighbor, neighbor), int(self.graph[action_id][neighbor]["weight"]))
-            for neighbor in self.graph.neighbors(action_id)
+            (neighbor, self.names.get(neighbor, neighbor), weight)
+            for neighbor, weight in self.neighbors.get(action_id, {}).items()
         ]
         partners.sort(key=lambda item: -item[2])
         return partners
@@ -97,7 +107,7 @@ class CooccurrenceAccumulator:
     """Streaming builder of :class:`CooccurrenceAnalysis`.
 
     Accumulates edge weights as a plain ``(a, b) → count`` map (O(#pairs))
-    and materializes the graph only at :meth:`finalize`, inserting edges in
+    and builds the adjacency map only at :meth:`finalize`, adding edges in
     sorted order so sharded and unsharded runs build identical graphs.
     """
 
@@ -127,14 +137,16 @@ class CooccurrenceAccumulator:
             self.edge_weights[key] = self.edge_weights.get(key, 0) + weight
 
     def finalize(self) -> CooccurrenceAnalysis:
-        """Materialize the graph (edges inserted in canonical order)."""
+        """Build the adjacency map (edges added in canonical order)."""
         analysis = CooccurrenceAnalysis()
         for action_id in sorted(self.names):
             analysis.names[action_id] = self.names[action_id]
+        neighbors = analysis.neighbors
         for (action_a, action_b) in sorted(self.edge_weights):
-            analysis.graph.add_edge(
-                action_a, action_b, weight=self.edge_weights[(action_a, action_b)]
-            )
+            weight = self.edge_weights[(action_a, action_b)]
+            # ``action_a`` is registered before ``action_b``: node order.
+            neighbors.setdefault(action_a, {})[action_b] = weight
+            neighbors.setdefault(action_b, {})[action_a] = weight
         return analysis
 
 

@@ -87,11 +87,8 @@ def analyze_crawl_stats(corpus: CrawlCorpus) -> CrawlStatsAnalysis:
     accumulator = CrawlStatsAccumulator()
     for gpt in corpus.iter_gpts():
         accumulator.update(gpt)
-    available = {
-        url for url, result in corpus.policies.items() if result.ok and result.text is not None
-    }
     return accumulator.finalize(
         store_counts=corpus.store_counts,
         unresolved_gpt_ids=corpus.unresolved_gpt_ids,
-        available_policy_urls=available,
+        available_policy_urls=corpus.available_policy_urls(),
     )

@@ -1,12 +1,10 @@
-"""Shard-parallel streaming analysis over a sharded corpus store.
+"""Shard-parallel streaming analysis over any :class:`~repro.io.CorpusSource`.
 
-The in-memory analyzers (``analyze_crawl_stats`` … ``analyze_disclosure``)
-assume the whole :class:`~repro.crawler.corpus.CrawlCorpus` (and, for the
-policy analyses, the whole
-:class:`~repro.policy.framework.PolicyConsistencyReport`) is resident.  At
-100k-GPT scale the corpus lives in a
-:class:`~repro.io.shards.ShardedCorpusStore` instead, and this module runs
-the same measurements as a **map-reduce** over its shards:
+Every corpus-driven stage of the measurement runs here, as a **map-reduce**
+over the source's shards.  The source is either the on-disk
+:class:`~repro.io.shards.ShardedCorpusStore` (N shards) or the in-memory
+:class:`~repro.crawler.corpus.CrawlCorpus`, which is one shard and costs
+no parse per pass:
 
 * **GPT-record map** — one task per GPT shard, scheduled on a
   :class:`~repro.exec.WorkerPool`, streams the shard's GPT records
@@ -23,7 +21,7 @@ the same measurements as a **map-reduce** over its shards:
   them beside it, so the coordinator assembles the policy report without
   running the framework again;
 * **description-extraction map** — one task per GPT shard collects each
-  Action's data descriptions keyed by ``(gpt discovery index, action
+  Action's data descriptions keyed by ``(gpt order key, action
   position)``; the reduce reconstructs the exact global description list
   (first-occurrence order over the discovery-ordered corpus) without
   materializing the corpus;
@@ -36,18 +34,18 @@ the same measurements as a **map-reduce** over its shards:
   LSH candidates band over the *union* of the shard signatures and get
   exact-verified against only the candidate texts, and everything is
   finalized with the shared context (classification rollups, party index,
-  shard-manifest metadata).
+  the source's store counts and unresolved identifiers).
 
 Because every ``finalize`` is order-canonical and the map tasks are pure
 per-shard folds, the output is **byte-identical** to running the in-memory
-analyzers on the materialized corpus — at any shard count, worker count, or
-backend (serial, thread, or process; map tasks are module-level functions
-that read their pass's inputs from the pool's broadcast state, and their
-accumulators pickle, so pure-Python accumulation scales across cores
-instead of serializing on the GIL).  That invariant is what lets the
-measurement suite switch freely between the in-memory and sharded paths,
-and it is asserted by ``tests/analysis/test_streaming.py`` and the
-determinism matrix.
+analyzers (``analyze_crawl_stats`` … ``analyze_disclosure``, which stay as
+the reference implementations) on the materialized corpus — at any shard
+count, worker count, or backend (serial, thread, or process; map tasks
+are module-level functions that read their pass's inputs from the pool's
+broadcast state, and their accumulators pickle, so pure-Python
+accumulation scales across cores instead of serializing on the GIL).
+``tests/analysis/test_streaming.py`` and the determinism matrix assert
+it.
 """
 
 from __future__ import annotations
@@ -68,7 +66,8 @@ from repro.classification.descriptions import DataDescription
 from repro.classification.results import ClassificationResult, DescriptionLabel
 from repro.crawler.corpus import CrawledGPT
 from repro.exec import ExecTask, WorkerPool, make_pool, shared_state
-from repro.io.shards import ShardedCorpusStore, shard_index
+from repro.io import CorpusSource
+from repro.io.shards import shard_index
 from repro.policy.duplicates import (
     PolicyProfileAccumulator,
     finalize_duplicate_report,
@@ -180,17 +179,16 @@ STREAM_CLASSIFY_KEY = "stream/classify-pass"
 def _map_gpt_shard(index: int) -> Dict[str, object]:
     """Fold one GPT shard's record stream through fresh accumulators.
 
-    The pass's inputs (store root, analysis names, classification rollups)
+    The pass's inputs (source, analysis names, classification rollups)
     are the :data:`STREAM_GPT_KEY` broadcast; the returned accumulators
     pickle, so the task runs the same in a process worker as in-process.
     """
     spec = shared_state(STREAM_GPT_KEY)
-    store = ShardedCorpusStore(spec["root"])
     factories = _accumulator_factories(
         spec["names"], spec["collected"], spec["offending"], spec["include_party"]
     )
     accumulators = {name: factory() for name, factory in factories.items()}
-    for gpt in store.iter_shard_gpts(index):
+    for gpt in spec["source"].iter_shard(index):
         for accumulator in accumulators.values():
             accumulator.update(gpt)
     return accumulators
@@ -208,7 +206,6 @@ def _map_policy_shard(index: int) -> Dict[str, object]:
     ``policy_analyses`` (action id → ``ActionPolicyAnalysis``).
     """
     spec = shared_state(STREAM_POLICY_KEY)
-    store = ShardedCorpusStore(spec["root"])
     disclosure_spec = spec["disclosure_specs"][index] if spec["disclosure_specs"] else None
     out: Dict[str, object] = {}
     duplicates = PolicyProfileAccumulator() if spec["want_duplicates"] else None
@@ -226,7 +223,7 @@ def _map_policy_shard(index: int) -> Dict[str, object]:
             single_pass=bool(disclosure_spec["single_pass"]),
         )
         url_actions = disclosure_spec["url_actions"]
-    for result in store.iter_shard_policies(index):
+    for result in spec["source"].iter_shard_policies(index):
         if duplicates is not None:
             duplicates.update(result)
         if disclosure is not None and result.ok and result.text is not None:
@@ -283,21 +280,22 @@ def _policy_report(
 CLASSIFY_CHUNK_BATCHES = 8
 
 
-def _map_extract_shard(root: str, index: int) -> List[Tuple[int, int, str, List[Tuple[str, str]]]]:
+def _map_extract_shard(
+    source: CorpusSource, index: int
+) -> List[Tuple[int, int, str, List[Tuple[str, str]]]]:
     """Extract one GPT shard's data descriptions with global order keys.
 
     Returns one row per *first in-shard occurrence* of an Action:
-    ``(gpt discovery index, action position, action id, [(parameter name,
+    ``(gpt order key, action position, action id, [(parameter name,
     description text), …])``.  The coordinator keeps the globally smallest
     key per Action and sorts — which reproduces, exactly, the
     first-occurrence order of ``CrawlCorpus.unique_actions()`` over the
     discovery-ordered corpus, and therefore the exact description list of
     :func:`repro.classification.descriptions.extract_descriptions`.
     """
-    store = ShardedCorpusStore(root)
     rows: List[Tuple[int, int, str, List[Tuple[str, str]]]] = []
     seen: set = set()
-    for discovery_index, gpt in store.iter_shard_gpts_indexed(index):
+    for order_key, gpt in source.iter_shard_gpts_indexed(index):
         for position, action in enumerate(gpt.actions):
             if action.action_id in seen:
                 continue
@@ -306,7 +304,7 @@ def _map_extract_shard(root: str, index: int) -> List[Tuple[int, int, str, List[
                 (name, text)
                 for (name, _), text in zip(action.parameters, action.data_descriptions())
             ]
-            rows.append((discovery_index, position, action.action_id, pairs))
+            rows.append((order_key, position, action.action_id, pairs))
     return rows
 
 
@@ -336,8 +334,11 @@ class ShardAnalysisRunner:
 
     Parameters
     ----------
-    store:
-        The sharded corpus to analyze.
+    source:
+        The corpus to analyze: a :class:`~repro.io.shards.ShardedCorpusStore`
+        or an in-memory :class:`~repro.crawler.corpus.CrawlCorpus` (one
+        shard).  On a process pool it must be a store, which pickles as its
+        root and manifest.
     workers:
         Worker-pool size for shard tasks (``<= 1`` streams shards
         sequentially).  Results are identical at any worker count.
@@ -359,11 +360,11 @@ class ShardAnalysisRunner:
 
     def __init__(
         self,
-        store: ShardedCorpusStore,
+        source: CorpusSource,
         workers: int = 0,
         backend: Union[str, WorkerPool, None] = None,
     ) -> None:
-        self.store = store
+        self.source = source
         self.workers = workers
         self._owned_pool: Optional[WorkerPool] = None
         if isinstance(backend, WorkerPool):
@@ -420,9 +421,9 @@ class ShardAnalysisRunner:
             ExecTask(
                 key=f"extract-{index:05d}",
                 fn=_map_extract_shard,
-                args=(str(self.store.root), index),
+                args=(self.source, index),
             )
-            for index in range(self.store.n_shards)
+            for index in range(self.source.n_shards)
         ]
         best: Dict[str, Tuple[Tuple[int, int], List[Tuple[str, str]]]] = {}
         for outcome in self.pool.run(tasks):
@@ -451,7 +452,7 @@ class ShardAnalysisRunner:
         config: object,
         descriptions: Optional[Sequence[DataDescription]] = None,
     ) -> ClassificationResult:
-        """Shard-partitioned classification of the store's descriptions.
+        """Shard-partitioned classification of the source's descriptions.
 
         The global (discovery-order) description list is cut into chunks of
         ``CLASSIFY_CHUNK_BATCHES`` classifier batches and classified as map
@@ -499,10 +500,10 @@ class ShardAnalysisRunner:
         verification's memory is O(candidate texts), not O(policy corpus).
         """
         wanted = set(urls)
-        shards = {shard_index(url, self.store.n_shards) for url in wanted}
+        shards = {shard_index(url, self.source.n_shards) for url in wanted}
         texts: Dict[str, str] = {}
         for shard in sorted(shards):
-            for result in self.store.iter_shard_policies(shard):
+            for result in self.source.iter_shard_policies(shard):
                 if result.url in wanted and result.text is not None:
                     texts[result.url] = normalize_policy_text(result.text)
         return texts
@@ -568,7 +569,7 @@ class ShardAnalysisRunner:
             self.pool.broadcast(
                 STREAM_GPT_KEY,
                 {
-                    "root": str(self.store.root),
+                    "source": self.source,
                     "names": tuple(factory_names),
                     "collected": collected,
                     "offending": offending,
@@ -578,7 +579,7 @@ class ShardAnalysisRunner:
             merged = self._run_merge(
                 [
                     ExecTask(key=f"shard-{index:05d}", fn=_map_gpt_shard, args=(index,))
-                    for index in range(self.store.n_shards)
+                    for index in range(self.source.n_shards)
                 ]
             )
         catalog: Optional[ActionCatalogAccumulator] = (
@@ -592,14 +593,14 @@ class ShardAnalysisRunner:
                 # Shard-slice the URL → Actions join so each task carries
                 # only the entries its policy shard can encounter.
                 url_actions: List[Dict[str, List]] = [
-                    {} for _ in range(self.store.n_shards)
+                    {} for _ in range(self.source.n_shards)
                 ]
                 for action_id in catalog.actions:
                     url, _domain, title = catalog.actions[action_id]
                     collected_types = collected.get(action_id, [])
                     if not url or not collected_types:
                         continue
-                    shard = shard_index(url, self.store.n_shards)
+                    shard = shard_index(url, self.source.n_shards)
                     url_actions[shard].setdefault(url, []).append(
                         (action_id, collected_types, title)
                     )
@@ -610,12 +611,12 @@ class ShardAnalysisRunner:
                         "single_pass": single_pass_policy,
                         "url_actions": url_actions[index],
                     }
-                    for index in range(self.store.n_shards)
+                    for index in range(self.source.n_shards)
                 ]
             self.pool.broadcast(
                 STREAM_POLICY_KEY,
                 {
-                    "root": str(self.store.root),
+                    "source": self.source,
                     "want_duplicates": "policy_duplicates" in policy_names,
                     "disclosure_specs": disclosure_specs,
                 },
@@ -626,7 +627,7 @@ class ShardAnalysisRunner:
                         ExecTask(
                             key=f"policies-{index:05d}", fn=_map_policy_shard, args=(index,)
                         )
-                        for index in range(self.store.n_shards)
+                        for index in range(self.source.n_shards)
                     ]
                 )
             )
@@ -639,12 +640,11 @@ class ShardAnalysisRunner:
             results["party"] = party_index
         if catalog is not None:
             results["action_catalog"] = catalog
-        manifest = self.store.manifest
         if "crawl_stats" in merged:
             results["crawl_stats"] = merged["crawl_stats"].finalize(
-                store_counts=manifest.store_counts,
-                unresolved_gpt_ids=manifest.unresolved_gpt_ids,
-                available_policy_urls=self.store.available_policy_urls(),
+                store_counts=self.source.store_counts,
+                unresolved_gpt_ids=self.source.unresolved_gpt_ids,
+                available_policy_urls=self.source.available_policy_urls(),
             )
         if "tool_usage" in merged:
             results["tool_usage"] = merged["tool_usage"].finalize(party_index)
@@ -687,56 +687,3 @@ class ShardAnalysisRunner:
                 coverage.update(label)
             results["coverage"] = coverage.finalize()
         return results
-
-
-def analyze_shards(
-    store: ShardedCorpusStore,
-    names: Optional[Sequence[str]] = None,
-    workers: int = 0,
-    classification: Optional[ClassificationResult] = None,
-    taxonomy: Optional[DataTaxonomy] = None,
-    party_index: Optional[ActionPartyIndex] = None,
-    backend: Union[str, WorkerPool, None] = None,
-    llm: Optional[object] = None,
-    single_pass_policy: bool = False,
-    near_duplicate_method: str = "auto",
-) -> Dict[str, object]:
-    """Convenience wrapper: build a runner and compute analyses in one pass.
-
-    A ``backend="process"`` runner owns a process pool for the duration of
-    the call; the ``with`` block releases its workers on the way out.  Pass
-    a :class:`~repro.exec.WorkerPool` instead to keep workers warm across
-    calls.
-    """
-    with ShardAnalysisRunner(store, workers=workers, backend=backend) as runner:
-        return runner.run(
-            names,
-            classification=classification,
-            taxonomy=taxonomy,
-            party_index=party_index,
-            llm=llm,
-            single_pass_policy=single_pass_policy,
-            near_duplicate_method=near_duplicate_method,
-        )
-
-
-def classify_shards(
-    store: ShardedCorpusStore,
-    taxonomy: DataTaxonomy,
-    llm: object,
-    fewshot_store: object,
-    config: object,
-    workers: int = 0,
-    backend: Union[str, WorkerPool, None] = None,
-    descriptions: Optional[Sequence[DataDescription]] = None,
-) -> ClassificationResult:
-    """Convenience wrapper: shard-partitioned classification in one call.
-
-    Extraction (when ``descriptions`` is not supplied) and classification
-    run on the same runner/backend; see :meth:`ShardAnalysisRunner.classify`
-    for the byte-identity argument.
-    """
-    with ShardAnalysisRunner(store, workers=workers, backend=backend) as runner:
-        return runner.classify(
-            taxonomy, llm, fewshot_store, config, descriptions=descriptions
-        )

@@ -12,20 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from repro.analysis.collection import CollectionAnalysis, analyze_collection
-from repro.analysis.cooccurrence import CooccurrenceAnalysis, analyze_cooccurrence
-from repro.analysis.coverage import CoverageAnalysis, analyze_coverage
-from repro.analysis.crawlstats import CrawlStatsAnalysis, analyze_crawl_stats
-from repro.analysis.disclosure import DisclosureAnalysis, analyze_disclosure
-from repro.analysis.multiaction import MultiActionAnalysis, analyze_multi_action
-from repro.analysis.party import ActionPartyIndex, build_party_index
-from repro.analysis.prevalence import PrevalenceAnalysis, analyze_prevalence
-from repro.analysis.prohibited import ProhibitedDataAnalysis, analyze_prohibited
-from repro.analysis.tools import ToolUsageAnalysis, analyze_tool_usage
-from repro.classification.classifier import ClassifierConfig, DataCollectionClassifier
+from repro.analysis.collection import CollectionAnalysis
+from repro.analysis.cooccurrence import CooccurrenceAnalysis
+from repro.analysis.coverage import CoverageAnalysis
+from repro.analysis.crawlstats import CrawlStatsAnalysis
+from repro.analysis.disclosure import DisclosureAnalysis
+from repro.analysis.multiaction import MultiActionAnalysis
+from repro.analysis.party import ActionPartyIndex
+from repro.analysis.prevalence import PrevalenceAnalysis
+from repro.analysis.prohibited import ProhibitedDataAnalysis
+from repro.analysis.streaming import ShardAnalysisRunner
+from repro.analysis.tools import ToolUsageAnalysis
+from repro.classification.classifier import ClassifierConfig
 from repro.classification.descriptions import (
     DataDescription,
-    extract_descriptions,
     label_with_ground_truth,
     sample_descriptions,
 )
@@ -41,11 +41,12 @@ from repro.ecosystem.config import EcosystemConfig
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.ecosystem.models import SyntheticEcosystem
 from repro.exec import BACKEND_NAMES, WorkerPool
+from repro.io import CorpusSource
 from repro.llm.fewshot import FewShotStore
 from repro.llm.simulated import SimulatedLLM
-from repro.policy.duplicates import DuplicatePolicyReport, analyze_policy_corpus
+from repro.policy.duplicates import DuplicatePolicyReport
 from repro.policy.evaluation import PolicyFrameworkEvaluation, evaluate_policy_framework
-from repro.policy.framework import PolicyConsistencyReport, PrivacyPolicyAnalyzer
+from repro.policy.framework import PolicyConsistencyReport
 from repro.taxonomy.builtin import load_builtin_taxonomy
 from repro.taxonomy.schema import DataTaxonomy
 
@@ -62,18 +63,19 @@ class SuiteConfig:
     (and how fast) they are produced.
 
     **Sharding semantics — the one place they are documented.**
-    ``shards=0`` (the default) is the unsharded path: the crawl builds an
-    in-memory :class:`~repro.crawler.corpus.CrawlCorpus` and every analysis
-    runs on it directly; ``shard_workers``, ``shard_dir``, and ``backend``
-    have nothing to act on and :meth:`validate` rejects them.  ``shards=N``
-    (N >= 1) is the sharded path: the shard-partitioned crawl streams
-    records into an N-shard on-disk store, and every stage downstream —
-    corpus analyses, description extraction, classification, and the
-    policy analyses — runs shard-parallel in bounded memory, byte-identical
-    to the unsharded path.  ``suite.corpus`` stays available as a thin
-    compatibility property (it materializes the store in discovery order;
-    no second crawl), and ``suite.corpus_source`` is the layout-agnostic
-    :class:`~repro.io.CorpusSource` view analyses should prefer.
+    ``shards`` only chooses where the corpus lives.  ``shards=0`` (the
+    default) keeps it in memory: the crawl builds a
+    :class:`~repro.crawler.corpus.CrawlCorpus`, which is one shard, and
+    ``shard_workers``, ``shard_dir``, and ``backend`` have nothing to act
+    on, so :meth:`validate` rejects them.  ``shards=N`` (N >= 1) puts it in
+    an N-shard on-disk store that the shard-partitioned crawl streams
+    records into.  Either way every stage — corpus analyses, description
+    extraction, classification, and the policy analyses — streams the same
+    way, through :class:`~repro.analysis.streaming.ShardAnalysisRunner` on
+    ``suite.corpus_source``, so the results are byte-identical.
+    ``suite.corpus`` stays available as a thin compatibility property (on
+    a sharded suite it materializes the store in discovery order; no
+    second crawl).
     """
 
     n_gpts: int = 2000
@@ -112,10 +114,10 @@ class SuiteConfig:
     #: ``suite.epoch_deltas``; pair with :meth:`MeasurementSuite.incremental_crawl`
     #: to crawl the evolved world as a delta over the previous epoch's store.
     epoch: int = 0
-    #: Shard count for the on-disk corpus store (0 = in-memory single pass).
-    #: When set, crawl checkpoints are shard-partitioned too, and every
-    #: corpus-driven analysis runs shard-parallel with byte-identical
-    #: results (an execution knob: it never changes measured values).
+    #: Shard count for the on-disk corpus store (0 = the corpus stays in
+    #: memory, as one shard).  When set, crawl checkpoints are
+    #: shard-partitioned too.  Every stage streams the same way at any
+    #: value (an execution knob: it never changes measured values).
     shards: int = 0
     #: Worker-pool size for shard-parallel analysis (0/1 = sequential).
     shard_workers: int = 0
@@ -360,11 +362,11 @@ class MeasurementSuite:
         return self._corpus
 
     @property
-    def corpus_source(self):
+    def corpus_source(self) -> CorpusSource:
         """The suite's :class:`~repro.io.CorpusSource`: one record-read API.
 
-        The shard store when sharded, the in-memory corpus otherwise —
-        callers iterate records (or shards) without branching on layout.
+        The shard store when sharded, the in-memory corpus (one shard)
+        otherwise — every stage streams from it without branching on layout.
         """
         if self.sharded:
             return self.shard_store
@@ -372,7 +374,7 @@ class MeasurementSuite:
 
     @property
     def sharded(self) -> bool:
-        """Whether corpus analyses run on the sharded streaming path."""
+        """Whether the corpus lives in an on-disk shard store."""
         return self.config.shards > 0
 
     @property
@@ -464,12 +466,10 @@ class MeasurementSuite:
         self._crawl_statistics = pipeline.statistics
         return store
 
-    def _stream_runner(self):
-        """A shard-analysis runner on the suite's store, workers, and pool."""
-        from repro.analysis.streaming import ShardAnalysisRunner
-
+    def _stream_runner(self) -> ShardAnalysisRunner:
+        """A shard-analysis runner on the suite's corpus source and pool."""
         return ShardAnalysisRunner(
-            self.shard_store,
+            self.corpus_source,
             workers=self.config.shard_workers,
             backend=self._execution_backend(),
         )
@@ -514,15 +514,12 @@ class MeasurementSuite:
     def descriptions(self) -> List[DataDescription]:
         """All data descriptions, in corpus first-occurrence order.
 
-        On the sharded path they are extracted shard-parallel from the
-        store and merged on global discovery index, which reproduces the
-        in-memory extraction order exactly — no corpus materialization.
+        They are extracted shard-parallel and merged on each record's
+        order key, which reproduces the first-occurrence order of the
+        discovery-ordered corpus exactly — no corpus materialization.
         """
         if self._descriptions is None:
-            if self.sharded and self._corpus is None:
-                self._descriptions = self._stream_runner().extract_descriptions()
-            else:
-                self._descriptions = extract_descriptions(self.corpus)
+            self._descriptions = self._stream_runner().extract_descriptions()
         return self._descriptions
 
     @property
@@ -549,65 +546,42 @@ class MeasurementSuite:
             use_fewshot=self.config.use_fewshot,
         )
 
-    def build_classifier(self) -> DataCollectionClassifier:
-        """Construct the classifier with the suite's configuration."""
-        return DataCollectionClassifier(
-            taxonomy=self.taxonomy,
-            llm=self.llm,
-            fewshot_store=self.fewshot_store,
-            config=self._classifier_config(),
-        )
-
     @property
     def classification(self) -> ClassificationResult:
         """Classification of every extracted data description.
 
-        Sharded suites classify in batch-aligned chunks fanned out over
+        Descriptions are classified in batch-aligned chunks fanned out over
         the shard workers (the few-shot store rides the warm pool's
-        broadcast channel); labels are byte-identical to the in-memory
+        broadcast channel); labels are byte-identical to one
         ``classify_many`` pass at any worker count or backend.
         """
         if self._classification is None:
-            if self.sharded and self._corpus is None:
-                self._classification = self._stream_runner().classify(
-                    taxonomy=self.taxonomy,
-                    llm=self.llm,
-                    fewshot_store=self.fewshot_store,
-                    config=self._classifier_config(),
-                    descriptions=self.descriptions,
-                )
-            else:
-                self._classification = self.build_classifier().classify_many(
-                    self.descriptions
-                )
+            self._classification = self._stream_runner().classify(
+                taxonomy=self.taxonomy,
+                llm=self.llm,
+                fewshot_store=self.fewshot_store,
+                config=self._classifier_config(),
+                descriptions=self.descriptions,
+            )
         return self._classification
 
     @property
     def policy_report(self) -> PolicyConsistencyReport:
         """Privacy-policy consistency report for the whole corpus.
 
-        A sharded suite takes it from the streamed disclosure pass, which
-        runs the framework per policy shard, so the framework runs once and
-        the corpus is never materialized.
+        It comes from the streamed disclosure pass, which runs the
+        framework per policy shard, so the framework runs once and the
+        corpus is never materialized.
         """
         if self._policy_report is None:
-            if self.sharded:
-                self.disclosure  # the streamed pass sets _policy_report
-            else:
-                analyzer = PrivacyPolicyAnalyzer(
-                    self.taxonomy, self.llm, single_pass=self.config.single_pass_policy
-                )
-                self._policy_report = analyzer.analyze_corpus(self.corpus, self.classification)
+            self.disclosure  # the streamed pass sets _policy_report
         return self._policy_report
 
     @property
     def party_index(self) -> ActionPartyIndex:
         """First-/third-party attribution of Actions."""
         if self._party_index is None:
-            if self.sharded:
-                self._streamed(["party"])
-            else:
-                self._party_index = build_party_index(self.corpus)
+            self._streamed(["party"])
         return self._party_index
 
     # ------------------------------------------------------------------
@@ -619,18 +593,15 @@ class MeasurementSuite:
     #: policy framework per shard and needs the classification + LLM.
     _CORPUS_STREAM_GROUP = ("crawl_stats", "tool_usage", "multi_action", "cooccurrence")
     _CLASSIFIED_STREAM_GROUP = ("collection", "coverage", "prohibited", "prevalence")
-    _POLICY_STREAM_GROUPS = (("policy_duplicates",), ("disclosure",))
 
-    def _cached(self, key: str, builder) -> object:
+    def _cached(self, key: str) -> object:
         if key not in self._cache:
-            if self.sharded and key in self._CORPUS_STREAM_GROUP:
+            if key in self._CORPUS_STREAM_GROUP:
                 # One shard-parallel pass computes the whole group.
                 self._streamed(list(self._CORPUS_STREAM_GROUP))
-            elif self.sharded and key in self._CLASSIFIED_STREAM_GROUP:
+            elif key in self._CLASSIFIED_STREAM_GROUP:
                 self._streamed(list(self._CLASSIFIED_STREAM_GROUP))
-            elif self.sharded and any(
-                key in group for group in self._POLICY_STREAM_GROUPS
-            ):
+            else:
                 # Disclosure already forces the classification stage, so
                 # the duplicates analysis rides its policy-shard pass for
                 # free; a duplicates-only request streams alone and keeps
@@ -639,77 +610,57 @@ class MeasurementSuite:
                 if key == "disclosure" and "policy_duplicates" not in self._cache:
                     names.append("policy_duplicates")
                 self._streamed(names)
-            else:
-                self._cache[key] = builder()
         return self._cache[key]
 
     @property
     def crawl_stats(self) -> CrawlStatsAnalysis:
         """Table 1 crawl statistics."""
-        return self._cached("crawl_stats", lambda: analyze_crawl_stats(self.corpus))  # type: ignore[return-value]
+        return self._cached("crawl_stats")  # type: ignore[return-value]
 
     @property
     def tool_usage(self) -> ToolUsageAnalysis:
         """Table 3 tool usage."""
-        return self._cached(
-            "tool_usage", lambda: analyze_tool_usage(self.corpus, self.party_index)
-        )  # type: ignore[return-value]
+        return self._cached("tool_usage")  # type: ignore[return-value]
 
     @property
     def collection(self) -> CollectionAnalysis:
         """Table 4 / Figure 7 collection trends."""
-        return self._cached(
-            "collection",
-            lambda: analyze_collection(self.corpus, self.classification, self.party_index),
-        )  # type: ignore[return-value]
+        return self._cached("collection")  # type: ignore[return-value]
 
     @property
     def coverage(self) -> CoverageAnalysis:
         """Figure 3 taxonomy coverage."""
-        return self._cached("coverage", lambda: analyze_coverage(self.classification))  # type: ignore[return-value]
+        return self._cached("coverage")  # type: ignore[return-value]
 
     @property
     def prohibited(self) -> ProhibitedDataAnalysis:
         """Section 4.2.2 prohibited-data collection."""
-        return self._cached(
-            "prohibited",
-            lambda: analyze_prohibited(self.corpus, self.classification, self.taxonomy),
-        )  # type: ignore[return-value]
+        return self._cached("prohibited")  # type: ignore[return-value]
 
     @property
     def prevalence(self) -> PrevalenceAnalysis:
         """Table 5 prevalent third-party Actions."""
-        return self._cached(
-            "prevalence",
-            lambda: analyze_prevalence(self.corpus, self.classification, self.party_index),
-        )  # type: ignore[return-value]
+        return self._cached("prevalence")  # type: ignore[return-value]
 
     @property
     def multi_action(self) -> MultiActionAnalysis:
         """Section 4.4.1 multi-Action statistics."""
-        return self._cached("multi_action", lambda: analyze_multi_action(self.corpus))  # type: ignore[return-value]
+        return self._cached("multi_action")  # type: ignore[return-value]
 
     @property
     def cooccurrence(self) -> CooccurrenceAnalysis:
         """Figure 8 co-occurrence graph."""
-        return self._cached("cooccurrence", lambda: analyze_cooccurrence(self.corpus))  # type: ignore[return-value]
+        return self._cached("cooccurrence")  # type: ignore[return-value]
 
     @property
     def disclosure(self) -> DisclosureAnalysis:
         """Figures 9–12 / Table 7 disclosure consistency."""
-        return self._cached(
-            "disclosure", lambda: analyze_disclosure(self.policy_report, self.corpus)
-        )  # type: ignore[return-value]
+        return self._cached("disclosure")  # type: ignore[return-value]
 
     @property
     def policy_duplicates(self) -> DuplicatePolicyReport:
         """Section 5.1.1 / Table 6 duplicate-policy statistics."""
-        return self._cached(
-            "policy_duplicates",
-            lambda: analyze_policy_corpus(
-                self.corpus, near_duplicate_method=self.config.near_duplicate_method
-            ),
-        )  # type: ignore[return-value]
+        return self._cached("policy_duplicates")  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Evaluations against generator ground truth

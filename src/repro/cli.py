@@ -32,11 +32,13 @@ measurement pipeline:
   content-addressed store, so an unchanged cell is never recomputed and a
   killed sweep continues with ``--resume`` (which insists the cache exists).
 
-Global ``--shards N`` / ``--shard-workers M`` / ``--shard-dir DIR`` switch
-every command's corpus analyses onto the sharded streaming path
-(:mod:`repro.io.shards` + :mod:`repro.analysis.streaming`): the crawled
-corpus is hash-partitioned into N JSONL shards on disk and analyzed
-shard-parallel, with byte-identical results at any shard or worker count.
+Global ``--shards N`` / ``--shard-workers M`` / ``--shard-dir DIR`` choose
+where the crawled corpus lives: without ``--shards`` it stays in memory as
+one shard; with it, it is hash-partitioned into N JSONL shards on disk
+(:mod:`repro.io.shards`).  Every command analyzes either layout the same
+way, through the shard-parallel runner of :mod:`repro.analysis.streaming`,
+which reads the per-shard GPT and policy records and the store counts of
+either source, with byte-identical results at any shard or worker count.
 ``crawl --shards N`` runs the **shard-partitioned crawl**
 (:meth:`repro.crawler.pipeline.CrawlPipeline.run_sharded`): the listing
 frontier is hash-partitioned, per-shard sub-pipelines stream resolved GPTs

@@ -10,7 +10,7 @@ inference steps the paper performs on live data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.crawler.policy_fetcher import PolicyFetchResult
 from repro.web.urls import url_host
@@ -165,6 +165,11 @@ class CrawledGPT:
         )
 
 
+def _check_one_shard(index: int) -> None:
+    if index != 0:
+        raise IndexError(f"in-memory corpus has exactly one shard, not {index + 1}")
+
+
 @dataclass
 class CrawlCorpus:
     """Everything a crawl produced."""
@@ -242,9 +247,30 @@ class CrawlCorpus:
 
     def iter_shard(self, index: int) -> Iterator[CrawledGPT]:
         """Stream one shard's records: an in-memory corpus is one shard."""
-        if index != 0:
-            raise IndexError(f"in-memory corpus has exactly one shard, not {index + 1}")
+        _check_one_shard(index)
         return iter(self.gpts.values())
+
+    def iter_shard_gpts_indexed(self, index: int) -> Iterator[Tuple[int, CrawledGPT]]:
+        """Stream ``(position, gpt)`` pairs in insertion order.
+
+        Insertion order is discovery order for a crawled corpus, and the
+        order :func:`~repro.classification.descriptions.extract_descriptions`
+        uses for a hand-built or cache-loaded one, which carries no
+        discovery indices.
+        """
+        _check_one_shard(index)
+        return enumerate(self.gpts.values())
+
+    def iter_shard_policies(self, index: int) -> Iterator[PolicyFetchResult]:
+        """Stream the policy records (the one shard's)."""
+        _check_one_shard(index)
+        return iter(self.policies.values())
+
+    def available_policy_urls(self) -> Set[str]:
+        """URLs whose policy was fetched successfully (text present)."""
+        return {
+            url for url, result in self.policies.items() if result.ok and result.text is not None
+        }
 
     @property
     def n_shards(self) -> int:

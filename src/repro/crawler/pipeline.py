@@ -96,8 +96,8 @@ from repro.web.urls import url_host
 class CrawlStatistics:
     """Aggregate statistics about one crawl run.
 
-    Per-store numbers are *derived* from the corpus (the single source of
-    truth) rather than mirrored into separate counters.
+    Per-store numbers are not kept here: they live with the records, in
+    ``CrawlCorpus.store_counts`` or the shard store's manifest.
     """
 
     n_unique_identifiers: int = 0
@@ -122,8 +122,6 @@ class CrawlStatistics:
     #: redirect-loop).  Hosts that appear here degraded visibly instead of
     #: losing records silently; see :attr:`quarantined_hosts`.
     host_failure_taxonomy: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: The corpus this run produced (set by the pipeline).
-    corpus: Optional[CrawlCorpus] = field(default=None, repr=False)
 
     @property
     def quarantined_hosts(self) -> List[str]:
@@ -143,18 +141,6 @@ class CrawlStatistics:
         self.n_retries += int(counters.get("n_retries", 0))
         self.n_ratelimit_retries += int(counters.get("n_ratelimit_retries", 0))
         _merge_taxonomy(self.host_failure_taxonomy, counters.get("host_taxonomy") or {})
-
-    @property
-    def per_store_counts(self) -> Dict[str, int]:
-        """Store → successfully crawled GPTs (from ``corpus.store_counts``)."""
-        return dict(self.corpus.store_counts) if self.corpus is not None else {}
-
-    @property
-    def n_store_links(self) -> int:
-        """Total listing links collected (from ``corpus.store_link_counts``)."""
-        if self.corpus is None:
-            return 0
-        return sum(self.corpus.store_link_counts.values())
 
     @property
     def resolution_rate(self) -> float:
@@ -1067,12 +1053,10 @@ class CrawlPipeline:
                 # The store records discovery indices, so the rebuilt corpus
                 # comes back in exact discovery order — identical record
                 # order (not just record set) to an unsharded run.
-                corpus = self.run_sharded(root).load_corpus()
-            self.statistics.corpus = corpus
-            return corpus
+                return self.run_sharded(root).load_corpus()
 
         corpus = CrawlCorpus()
-        self.statistics = CrawlStatistics(corpus=corpus)
+        self.statistics = CrawlStatistics()
         network_before = self._network_counters()
         checkpoint = self._open_checkpoint(n_shards=1)
 

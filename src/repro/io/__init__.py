@@ -71,27 +71,31 @@ bytes, only how fast they are produced.
 Consumers that only need *records* should not care which layout they are
 reading.  :class:`CorpusSource` is that seam: the structural protocol
 implemented by both :class:`~repro.crawler.corpus.CrawlCorpus` (in memory,
-one logical shard) and :class:`ShardedCorpusStore` (on disk, N shards),
-giving analyses and the experiment sweep one API — discovery-order
-streaming (``iter_records``), per-shard streaming (``iter_shard``), record
-counts, and a content fingerprint — instead of branching on sharded-ness.
+one shard) and :class:`ShardedCorpusStore` (on disk, N shards).  It gives
+analyses, the streaming runner and the experiment sweep one API instead of
+a branch on sharded-ness.
 """
 
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Dict, Iterator, List, Protocol, Set, Tuple, runtime_checkable
 
 from repro.crawler.corpus import CrawledGPT
+from repro.crawler.policy_fetcher import PolicyFetchResult
 
 
 @runtime_checkable
 class CorpusSource(Protocol):
     """One read API over a crawled corpus, in memory or sharded on disk.
 
-    The protocol is deliberately record-oriented: it exposes exactly what
-    order-sensitive consumers (seeded description sampling, classification
-    batching) and shard-parallel consumers (the streaming analysis engine)
-    need, and nothing that would force materializing the whole corpus.
-    Implementations: :class:`~repro.crawler.corpus.CrawlCorpus` and
-    :class:`~repro.io.shards.ShardedCorpusStore`.
+    The protocol is record-oriented: it exposes what order-sensitive
+    consumers (seeded description sampling, classification batching) and
+    the shard-parallel analysis runner need, and nothing that would force
+    materializing the whole corpus.  The runner
+    (:class:`~repro.analysis.streaming.ShardAnalysisRunner`) reads
+    :meth:`iter_shard`, :meth:`iter_shard_gpts_indexed` and
+    :meth:`iter_shard_policies` per shard, and :attr:`store_counts`,
+    :attr:`unresolved_gpt_ids` and :meth:`available_policy_urls` when it
+    finalizes.  Implementations: :class:`~repro.crawler.corpus.CrawlCorpus`
+    (one shard) and :class:`~repro.io.shards.ShardedCorpusStore`.
     """
 
     def iter_records(self) -> Iterator[CrawledGPT]:
@@ -100,6 +104,32 @@ class CorpusSource(Protocol):
 
     def iter_shard(self, index: int) -> Iterator[CrawledGPT]:
         """Stream the GPT records of one shard."""
+        ...
+
+    def iter_shard_gpts_indexed(self, index: int) -> Iterator[Tuple[int, CrawledGPT]]:
+        """Stream one shard's ``(order key, gpt)`` pairs, keys ascending.
+
+        Keys order records globally: sorting every shard's pairs by key
+        gives the corpus's discovery order.
+        """
+        ...
+
+    def iter_shard_policies(self, index: int) -> Iterator[PolicyFetchResult]:
+        """Stream the policy records of one shard."""
+        ...
+
+    def available_policy_urls(self) -> Set[str]:
+        """URLs whose policy was fetched successfully (text present)."""
+        ...
+
+    @property
+    def store_counts(self) -> Dict[str, int]:
+        """Store name → GPTs successfully crawled from that store."""
+        ...
+
+    @property
+    def unresolved_gpt_ids(self) -> List[str]:
+        """GPT identifiers that failed to resolve."""
         ...
 
     @property

@@ -708,6 +708,16 @@ class ShardedCorpusStore:
         """Total GPT records in this store."""
         return self.manifest.n_gpts
 
+    @property
+    def store_counts(self) -> Dict[str, int]:
+        """Store name → GPTs successfully crawled from that store."""
+        return self.manifest.store_counts
+
+    @property
+    def unresolved_gpt_ids(self) -> List[str]:
+        """GPT identifiers that failed to resolve."""
+        return self.manifest.unresolved_gpt_ids
+
     # ------------------------------------------------------------------
     # Iteration (memory-bounded)
     # ------------------------------------------------------------------

@@ -72,7 +72,7 @@ def figure8_summary(cooccurrence: CooccurrenceAnalysis, top_n: int = 6) -> Dict[
     return {
         "n_nodes": cooccurrence.n_nodes,
         "n_edges": cooccurrence.n_edges,
-        "largest_component_size": component.number_of_nodes(),
+        "largest_component_size": len(component),
         "top_hubs": cooccurrence.top_by_weighted_degree(top_n),
     }
 

@@ -9,6 +9,7 @@ in-memory path at any shard and worker count.
 import pytest
 
 from repro.analysis import (
+    STREAMABLE_ANALYSES,
     analyze_collection,
     analyze_cooccurrence,
     analyze_coverage,
@@ -16,7 +17,6 @@ from repro.analysis import (
     analyze_multi_action,
     analyze_prevalence,
     analyze_prohibited,
-    analyze_shards,
     analyze_tool_usage,
     build_party_index,
 )
@@ -30,6 +30,14 @@ from repro.analysis.prevalence import PrevalenceAccumulator
 from repro.analysis.prohibited import ProhibitedAccumulator, find_offending_actions
 from repro.analysis.streaming import ShardAnalysisRunner
 from repro.analysis.tools import ToolUsageAccumulator
+from repro.classification.classifier import ClassifierConfig
+from repro.classification.descriptions import extract_descriptions
+from repro.io import (
+    CorpusSource,
+    corpus_from_payload,
+    corpus_to_payload,
+    policies_to_payload,
+)
 from repro.io.shards import ShardedCorpusStore
 
 
@@ -109,9 +117,7 @@ class TestAccumulatorMergeEquivalence:
         finalized = merged.finalize()
         single = analyze_cooccurrence(small_corpus)
         assert finalized.names == single.names
-        assert sorted(finalized.graph.edges(data="weight")) == sorted(
-            single.graph.edges(data="weight")
-        )
+        assert finalized.neighbors == single.neighbors
 
     def test_collection(self, small_corpus, classification):
         party = build_party_index(small_corpus)
@@ -153,11 +159,10 @@ class TestAccumulatorMergeEquivalence:
 class TestShardAnalysisRunner:
     @pytest.mark.parametrize("workers", [0, 4])
     def test_corpus_group_matches_in_memory(self, shard_store, small_corpus, workers):
-        results = analyze_shards(
-            shard_store,
-            names=["crawl_stats", "tool_usage", "multi_action", "cooccurrence"],
-            workers=workers,
-        )
+        with ShardAnalysisRunner(shard_store, workers=workers) as runner:
+            results = runner.run(
+                ["crawl_stats", "tool_usage", "multi_action", "cooccurrence"]
+            )
         party = build_party_index(small_corpus)
         assert results["crawl_stats"] == analyze_crawl_stats(small_corpus)
         assert results["tool_usage"] == analyze_tool_usage(small_corpus, party)
@@ -167,13 +172,12 @@ class TestShardAnalysisRunner:
     def test_classified_group_matches_in_memory(
         self, shard_store, small_corpus, classification, taxonomy
     ):
-        results = analyze_shards(
-            shard_store,
-            names=["collection", "coverage", "prohibited", "prevalence"],
-            workers=2,
-            classification=classification,
-            taxonomy=taxonomy,
-        )
+        with ShardAnalysisRunner(shard_store, workers=2) as runner:
+            results = runner.run(
+                ["collection", "coverage", "prohibited", "prevalence"],
+                classification=classification,
+                taxonomy=taxonomy,
+            )
         party = build_party_index(small_corpus)
         assert results["collection"] == analyze_collection(
             small_corpus, classification, party
@@ -192,7 +196,8 @@ class TestShardAnalysisRunner:
             store = ShardedCorpusStore.write_corpus(
                 small_corpus, tmp_path / f"s{n_shards}", n_shards=n_shards
             )
-            results = analyze_shards(store, names=["crawl_stats", "multi_action"])
+            with ShardAnalysisRunner(store) as runner:
+                results = runner.run(["crawl_stats", "multi_action"])
             if baseline is None:
                 baseline = results
             else:
@@ -201,22 +206,79 @@ class TestShardAnalysisRunner:
 
     def test_supplied_party_index_is_reused(self, shard_store, small_corpus):
         party = build_party_index(small_corpus)
-        results = analyze_shards(shard_store, names=["tool_usage"], party_index=party)
+        with ShardAnalysisRunner(shard_store) as runner:
+            results = runner.run(["tool_usage"], party_index=party)
         assert results["party"] is party
         assert results["tool_usage"] == analyze_tool_usage(small_corpus, party)
 
     def test_unknown_analysis_rejected(self, shard_store):
-        with pytest.raises(ValueError, match="unknown streaming analyses"):
-            analyze_shards(shard_store, names=["nope"])
+        with ShardAnalysisRunner(shard_store) as runner:
+            with pytest.raises(ValueError, match="unknown streaming analyses"):
+                runner.run(["nope"])
 
     def test_classification_required(self, shard_store):
-        with pytest.raises(ValueError, match="classification required"):
-            analyze_shards(shard_store, names=["collection"])
+        with ShardAnalysisRunner(shard_store) as runner:
+            with pytest.raises(ValueError, match="classification required"):
+                runner.run(["collection"])
 
     def test_party_only(self, shard_store, small_corpus):
         runner = ShardAnalysisRunner(shard_store, workers=2)
         results = runner.run(["party"])
         assert results["party"] == build_party_index(small_corpus)
+
+
+class TestLayoutsAgree:
+    """The runner reads any CorpusSource: an in-memory corpus (one shard)
+    and that corpus written to 1 and to 3 on-disk shards give equal results."""
+
+    @pytest.fixture(params=["crawled", "payload-round-trip"])
+    def corpus(self, request, small_corpus):
+        if request.param == "crawled":
+            return small_corpus
+        # The payload round trip drops the discovery indices, as the sweep
+        # cache does; insertion order is then the only record order.
+        rebuilt = corpus_from_payload(
+            corpus_to_payload(small_corpus), policies_to_payload(small_corpus)
+        )
+        assert not rebuilt.discovery_indices
+        return rebuilt
+
+    def test_in_memory_and_on_disk_sources_agree(
+        self, corpus, classification, taxonomy, simulated_llm, tmp_path
+    ):
+        sources = [corpus] + [
+            ShardedCorpusStore.write_corpus(corpus, tmp_path / f"s{n}", n_shards=n)
+            for n in (1, 3)
+        ]
+        outputs = []
+        for source in sources:
+            assert isinstance(source, CorpusSource)
+            with ShardAnalysisRunner(source, workers=2) as runner:
+                descriptions = runner.extract_descriptions()
+                labels = runner.classify(
+                    taxonomy=taxonomy,
+                    llm=simulated_llm,
+                    fewshot_store=None,
+                    config=ClassifierConfig(use_fewshot=False),
+                    descriptions=descriptions,
+                ).labels
+                results = runner.run(
+                    STREAMABLE_ANALYSES,
+                    classification=classification,
+                    taxonomy=taxonomy,
+                    llm=simulated_llm,
+                )
+            outputs.append((descriptions, labels, results))
+        reference_descriptions, reference_labels, reference = outputs[0]
+        assert reference_descriptions == extract_descriptions(corpus)
+        for descriptions, labels, results in outputs[1:]:
+            assert descriptions == reference_descriptions
+            assert labels == reference_labels
+            for name in STREAMABLE_ANALYSES + ("party",):
+                assert results[name] == reference[name], name
+            assert list(results["policy_report"].analyses.items()) == list(
+                reference["policy_report"].analyses.items()
+            )
 
 
 class TestWarmPoolStreaming:
@@ -241,24 +303,24 @@ class TestWarmPoolStreaming:
         assert runner._owned_pool is None
 
     @pytest.mark.process_smoke
-    def test_borrowed_pool_survives_analyze_shards(
+    def test_borrowed_pool_survives_runner_exit(
         self, shard_store, small_corpus, classification, taxonomy
     ):
         """A borrowed pool instance runs both the GPT and the policy pass
-        and is NOT closed by analyze_shards' runner cleanup."""
+        and is NOT closed when the runner's ``with`` block exits."""
         from repro.exec import WorkerPool
 
         with WorkerPool(kind="process", workers=2) as pool:
-            results = analyze_shards(
-                shard_store,
-                names=["crawl_stats", "collection", "prohibited"],
-                backend=pool,
-                classification=classification,
-                taxonomy=taxonomy,
-            )
+            with ShardAnalysisRunner(shard_store, backend=pool) as runner:
+                results = runner.run(
+                    ["crawl_stats", "collection", "prohibited"],
+                    classification=classification,
+                    taxonomy=taxonomy,
+                )
             assert not pool._closed
             # Reuse after the analysis proves the workers are still alive.
-            again = analyze_shards(shard_store, names=["multi_action"], backend=pool)
+            with ShardAnalysisRunner(shard_store, backend=pool) as runner:
+                again = runner.run(["multi_action"])
         party = build_party_index(small_corpus)
         assert results["crawl_stats"] == analyze_crawl_stats(small_corpus)
         assert results["collection"] == analyze_collection(

@@ -238,14 +238,3 @@ class TestPipelineDeterminismAndResume:
         # The HTTP layer's counter is cumulative; per-run statistics are not.
         assert pipeline.statistics.n_http_requests == first_requests
         assert pipeline.http.request_count == 2 * first_requests
-
-    def test_statistics_derived_from_corpus(self, small_ecosystem):
-        pipeline = CrawlPipeline.from_ecosystem(small_ecosystem, seed=11)
-        corpus = pipeline.run()
-        stats = pipeline.statistics
-        assert stats.per_store_counts == corpus.store_counts
-        assert stats.n_store_links == sum(corpus.store_link_counts.values())
-        # Mutating the corpus is immediately visible through the statistics —
-        # there is exactly one copy of the bookkeeping.
-        corpus.merge_listing("extra-store", 7)
-        assert stats.n_store_links == sum(corpus.store_link_counts.values())

@@ -100,7 +100,6 @@ class TestCrawlPipeline:
         assert stats.n_resolved == len(corpus.gpts)
         assert stats.n_http_requests > 0
         assert 0.9 <= stats.resolution_rate <= 1.0
-        assert stats.per_store_counts == corpus.store_counts
 
     def test_corpus_summary_mentions_counts(self, small_corpus):
         summary = small_corpus.summary()

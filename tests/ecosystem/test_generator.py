@@ -204,12 +204,13 @@ class TestGenerateShardedCorpus:
 
     def test_streaming_analysis_over_direct_ingest(self, tmp_path):
         from repro.analysis import analyze_crawl_stats
-        from repro.analysis.streaming import analyze_shards
+        from repro.analysis.streaming import ShardAnalysisRunner
         from repro.ecosystem.generator import generate_sharded_corpus
 
         config = EcosystemConfig.paper_calibrated(n_gpts=120, seed=13)
         store = generate_sharded_corpus(tmp_path / "store", config=config, n_shards=4)
-        streamed = analyze_shards(store, names=["crawl_stats"], workers=2)
+        with ShardAnalysisRunner(store, workers=2) as runner:
+            streamed = runner.run(["crawl_stats"])
         single = analyze_crawl_stats(store.load_corpus())
         assert streamed["crawl_stats"] == single
         assert single.total_unique_gpts == 120

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.streaming import ShardAnalysisRunner, classify_shards
+from repro.analysis.streaming import ShardAnalysisRunner
 from repro.analysis.suite import MeasurementSuite, SuiteConfig
 from repro.classification.descriptions import extract_descriptions
 from repro.crawler.pipeline import CrawlPipeline
@@ -257,15 +257,13 @@ class TestStreamedClassificationByteIdentity:
             backend = WorkerPool(workers=2, start_method=backend.split("-")[1])
         suite = parts["suite"]
         try:
-            result = classify_shards(
-                parts["store"],
-                taxonomy=suite.taxonomy,
-                llm=suite.llm,
-                fewshot_store=suite.fewshot_store,
-                config=suite._classifier_config(),
-                workers=2,
-                backend=backend,
-            )
+            with ShardAnalysisRunner(parts["store"], workers=2, backend=backend) as runner:
+                result = runner.classify(
+                    taxonomy=suite.taxonomy,
+                    llm=suite.llm,
+                    fewshot_store=suite.fewshot_store,
+                    config=suite._classifier_config(),
+                )
         finally:
             if isinstance(backend, WorkerPool):
                 backend.close()
@@ -293,15 +291,13 @@ class TestStreamedClassificationByteIdentity:
             fewshot_store=suite.fewshot_store,
             config=config,
         ).classify_many(suite.descriptions)
-        result = classify_shards(
-            parts["store"],
-            taxonomy=suite.taxonomy,
-            llm=suite.llm,
-            fewshot_store=suite.fewshot_store,
-            config=config,
-            workers=2,
-            backend="thread",
-        )
+        with ShardAnalysisRunner(parts["store"], workers=2, backend="thread") as runner:
+            result = runner.classify(
+                taxonomy=suite.taxonomy,
+                llm=suite.llm,
+                fewshot_store=suite.fewshot_store,
+                config=config,
+            )
         assert canonical_json(classification_to_payload(result)) == canonical_json(
             classification_to_payload(reference)
         )
