@@ -49,10 +49,11 @@ test-process:
 ## the black-compatible formatter in --check mode.  When ruff is not on
 ## PATH (this container ships no linters and installs are not allowed) the
 ## gate is skipped with a notice; the CI workflow installs ruff and
-## enforces it for real.  The stdlib-only checks always run: analysis code
-## must stream from a CorpusSource instead of calling load_corpus
-## (tools/check_no_materialize.py), and a BENCH_*.json refresh must not
-## hide a >1.5x rss_import_floor_mb jump behind a flat rss_workload_mb
+## enforces it for real.  The stdlib-only checks always run.  Analysis code
+## must stream from a CorpusSource instead of calling load_corpus, and crawl
+## code must hand its records to a sink instead of loading a store back
+## (tools/check_no_materialize.py).  A BENCH_*.json refresh must not hide a
+## >1.5x rss_import_floor_mb jump behind a flat rss_workload_mb
 ## (tools/check_bench_refresh.py).
 lint:
 	$(PYTHON) tools/check_no_materialize.py

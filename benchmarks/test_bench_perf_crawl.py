@@ -3,24 +3,33 @@
 Crawls a paper-calibrated 2000-GPT ecosystem over the simulated network with
 a per-request latency standing in for network RTT (the paper's real crawl is
 network-bound) and a handful of flaky policy hosts that need retries, then
-times the sequential baseline against the 8-worker engine.  Three properties
-are asserted alongside the timings:
+times the sequential baseline against the 8-worker engine.  An in-memory
+crawl (``CrawlPipeline.run``) partitions its frontier into one hash
+partition per worker, so the sequential crawl is one partition and the
+8-worker crawl is eight, fetching concurrently.  Three properties are
+asserted alongside the timings:
 
 * the 8-worker crawl is at least ``MIN_CRAWL_SPEEDUP``× faster than the
   sequential baseline at the same latency;
-* both crawls produce **byte-identical** corpora (the engine's deterministic
-  merge + the layer's seeded per-URL flakiness draws);
+* both crawls produce **byte-identical** corpora (the in-memory sink orders
+  records by discovery index, and the layer's flakiness draws are seeded
+  per URL);
 * a checkpointed crawl killed mid-run resumes to a corpus identical to an
   uninterrupted run with the same seed, without refetching completed tasks.
+  The ``resume_after_kill`` row's item count is the number of tasks resumed
+  from the checkpoint.  Partitions still running when the kill lands finish
+  and flush their fetches, so it counts more than the fetches done before
+  the kill.
 
-The shard-partitioned crawl is regression-gated here too: child-process
-probes crawl the same 2000-GPT ecosystem unsharded (materializing the
-whole-run corpus) and sharded (``CrawlPipeline.run_sharded``, shards=8,
-streaming records straight into the shard store), and both wall time
+The two sinks of the one crawl are regression-gated here too: child-process
+probes crawl the same 2000-GPT ecosystem at 8 partitions into the in-memory
+sink (``CrawlPipeline.run``, 8 workers, materializing the whole-run corpus)
+and into the store sink (``CrawlPipeline.run_sharded``, shards=8, streaming
+records straight into the shard store).  Both wall time
 (``crawl_2000_sharded_vs_unsharded_wall``) and peak RSS
 (``crawl_2000_sharded_vs_unsharded_rss_mb``) land in ``BENCH_crawl.json``
-for ``perf_report.py --check``.  The sharded probe must stay within
-``SHARDED_RSS_LIMIT_RATIO`` of the unsharded peak — the bounded-memory
+for ``perf_report.py --check``.  The store probe must stay within
+``SHARDED_RSS_LIMIT_RATIO`` of the in-memory peak — the bounded-memory
 claim: it holds one shard's payload batch at a time instead of the corpus.
 
 The measured numbers are printed as a compact table and persisted to a

@@ -50,12 +50,12 @@ Measures the properties that make the sharded data layer safe to use at
   ≤``MAX_CLASSIFY_WALL_RATIO``× materialize-then-classify, with
   byte-identical labels.
 * ``dispatch_pickle_kb_per_task`` — bytes pickled per sharded-crawl task:
-  a ``(ShardCrawlSpec, stage, shard, keys)`` payload, which would ship the
-  whole ecosystem with every task, versus the ``(stage, shard, keys)``
-  payload the pool actually sends once the spec has been broadcast.  Units
-  are KiB, not seconds (like the RSS row, this turns the perf gate into a
-  payload-size gate); the broadcast contract must shrink per-task pickles
-  ≥``MIN_PICKLE_SHRINK``×.
+  a ``(ShardCrawlSpec, stage, shard, n_shards, keys)`` payload, which would
+  ship the whole ecosystem with every task, versus the
+  ``(stage, shard, n_shards, keys)`` payload the pool actually sends once
+  the spec has been broadcast.  Units are KiB, not seconds (like the RSS
+  row, this turns the perf gate into a payload-size gate); the broadcast
+  contract must shrink per-task pickles ≥``MIN_PICKLE_SHRINK``×.
 
 Both child probes share an import-time RSS floor (numpy and the package,
 ~39 MB) that dominates their peak readings, so the 2x ratio alone cannot
@@ -653,7 +653,8 @@ def test_dispatch_warm_vs_cold_pool():
 def test_dispatch_pickle_bytes_per_task(paper_ecosystem):
     """The broadcast-once contract shrinks per-task pickles from
     ecosystem-sized (the whole :class:`ShardCrawlSpec` rides every task) to
-    identifier-sized (stage name, shard index, key list)."""
+    identifier-sized (stage name, partition index, partition count, key
+    list)."""
     import pickle
 
     pipeline = CrawlPipeline.from_ecosystem(
@@ -663,10 +664,10 @@ def test_dispatch_pickle_bytes_per_task(paper_ecosystem):
     keys = sorted(paper_ecosystem.gpts)[: PAPER_GPTS // DISPATCH_SHARDS]
 
     # Shipping the spec with every task would pickle (spec, stage, shard,
-    # keys); _run_shard_phase broadcasts the spec once and puts only
-    # (stage, shard, keys) on the wire.
-    fat_bytes = len(pickle.dumps((spec, "resolve", 0, keys)))
-    lean_bytes = len(pickle.dumps(("resolve", 0, keys)))
+    # n_shards, keys); _run_shard_phase broadcasts the spec once and puts
+    # only (stage, shard, n_shards, keys) on the wire.
+    fat_bytes = len(pickle.dumps((spec, "resolve", 0, DISPATCH_SHARDS, keys)))
+    lean_bytes = len(pickle.dumps(("resolve", 0, DISPATCH_SHARDS, keys)))
 
     # Units are KiB, not seconds: like the RSS row, recording sizes as
     # "timings" turns the CI perf gate into a payload-size gate.

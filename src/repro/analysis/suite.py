@@ -88,7 +88,10 @@ class SuiteConfig:
     #: Candidate generation for near-duplicate policy detection ("auto" picks
     #: MinHash–LSH at corpus scale; see repro.nlp.similarity.near_duplicates).
     near_duplicate_method: str = "auto"
-    #: Worker-pool size for the crawl engine (0/1 crawls sequentially).
+    #: Worker-pool size for the crawl engine (0/1 crawls sequentially).  An
+    #: in-memory crawl splits its frontier into one hash partition per
+    #: worker; a sharded crawl partitions by ``shards`` and runs the shards
+    #: on this many workers.  Either way the corpus is byte-identical.
     crawl_workers: int = 0
     #: Directory for incremental crawl checkpoints (None disables).
     crawl_checkpoint_dir: Optional[str] = None

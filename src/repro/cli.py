@@ -5,8 +5,10 @@ measurement pipeline:
 
 * ``repro-gpt generate`` — generate a synthetic ecosystem and print a summary;
 * ``repro-gpt crawl`` — generate + crawl, printing crawl statistics (Table 1).
-  The crawl runs on the concurrent engine: ``--workers N`` fans requests out
-  over a worker pool, ``--checkpoint-dir DIR`` persists stage progress
+  The crawl runs on the concurrent engine: ``--workers N`` partitions the
+  identifier frontier over N workers, one hash partition each (with
+  ``--shards`` the partitions are the store's shards, run on N workers),
+  ``--checkpoint-dir DIR`` persists stage progress
   incrementally, and ``--resume`` continues an interrupted crawl from that
   checkpoint without refetching.  ``--epoch N`` crawls the world after N
   rounds of seeded churn; adding ``--parent-store DIR`` (with ``--shards``

@@ -51,7 +51,7 @@ from repro.crawler.hostile import (
     HOSTILE_ROLES,
     install_hostile_hosts,
 )
-from repro.crawler.pipeline import CrawlPipeline, CrawlStage, CrawlStatistics
+from repro.crawler.pipeline import CrawlPipeline, CrawlStatistics
 
 __all__ = [
     "HTTPError",
@@ -66,7 +66,6 @@ __all__ = [
     "TransportStatistics",
     "HostRateLimiter",
     "TokenBucket",
-    "CrawlStage",
     "GPTStoreServer",
     "install_store_servers",
     "GizmoAPIClient",

@@ -190,41 +190,10 @@ class CrawlCorpus:
     discovery_indices: Dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # Incremental merging (used by the crawl engine's stages, and for
-    # combining shard corpora from partitioned crawls)
-    # ------------------------------------------------------------------
-    def merge_listing(self, store_name: str, n_links: int) -> None:
-        """Record the listing crawl of one store."""
-        self.store_link_counts[store_name] = (
-            self.store_link_counts.get(store_name, 0) + n_links
-        )
-
-    def merge_gpt(self, gpt: CrawledGPT, discovery_index: Optional[int] = None) -> None:
-        """Add one resolved GPT, updating per-store success counts."""
-        if discovery_index is not None:
-            self.discovery_indices[gpt.gpt_id] = discovery_index
-        previous = self.gpts.get(gpt.gpt_id)
-        if previous is not None:
-            # Re-crawled GPT: retract the old store attribution first.
-            for store in previous.source_stores:
-                remaining = self.store_counts.get(store, 0) - 1
-                if remaining > 0:
-                    self.store_counts[store] = remaining
-                else:
-                    self.store_counts.pop(store, None)
-        self.gpts[gpt.gpt_id] = gpt
-        for store in gpt.source_stores:
-            self.store_counts[store] = self.store_counts.get(store, 0) + 1
-
-    def merge_unresolved(self, gpt_id: str) -> None:
-        """Record an identifier that failed to resolve."""
-        if gpt_id not in self.unresolved_gpt_ids:
-            self.unresolved_gpt_ids.append(gpt_id)
-
-    def merge_policy(self, url: str, result: PolicyFetchResult) -> None:
-        """Record the fetch outcome for one policy URL."""
-        self.policies[url] = result
-
+    # Record access.  A corpus is filled in one go: by the crawl's
+    # in-memory sink (repro.crawler.pipeline) or by a loader
+    # (ShardedCorpusStore.load_corpus, repro.io.corpus_from_payload).
+    # Records come in discovery order and policies in URL order.
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.gpts)
@@ -240,8 +209,8 @@ class CrawlCorpus:
         """Stream every GPT record in discovery order.
 
         Insertion order *is* discovery order for a crawled corpus (the
-        pipeline merges resolve results in listing order), so this is
-        plain dict iteration.
+        crawl's in-memory sink inserts records by discovery index), so
+        this is plain dict iteration.
         """
         return iter(self.gpts.values())
 

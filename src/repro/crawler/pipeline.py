@@ -22,47 +22,51 @@ completed task payloads are flushed through :class:`repro.io.CrawlCheckpoint`,
 and a killed run restarted with ``resume=True`` skips what it already
 fetched and produces identical output.
 
-There are two ways to run it:
+**One crawl, two sinks.**  Every entry point runs the same crawl and differs
+only in where the records go:
 
-* :meth:`CrawlPipeline.run` builds an in-memory :class:`CrawlCorpus` from
-  the three stages, merging results in task order.
+* :meth:`CrawlPipeline.run` collects them into an in-memory
+  :class:`CrawlCorpus`;
 * :meth:`CrawlPipeline.run_sharded` and :meth:`CrawlPipeline.run_incremental`
-  write a :class:`~repro.io.shards.ShardedCorpusStore` through one
-  store-crawl path.  A cold crawl is the case with no parent store: nothing
-  is carried, and every identifier and policy URL is fetched.  An
-  incremental epoch crawl (a world that churned, see
-  :mod:`repro.ecosystem.evolution`) passes the previous epoch's store and
-  its change feed: every frontier identifier the parent answered and the
-  feed does not name, and every policy the parent fetched that neither
-  drifted nor sits on a flapping host, is **carried forward without HTTP**,
-  re-stamped with this epoch's discovery index and store attribution.
+  write them through a :class:`~repro.io.shards.ShardedCorpusWriter`, which
+  publishes a :class:`~repro.io.shards.ShardedCorpusStore`.  A cold crawl
+  is the case with no parent store: nothing is carried, and every
+  identifier and policy URL is fetched.  An incremental epoch crawl (a
+  world that churned, see :mod:`repro.ecosystem.evolution`) passes the
+  previous epoch's store and its change feed: every frontier identifier the
+  parent answered and the feed does not name, and every policy the parent
+  fetched that neither drifted nor sits on a flapping host, is **carried
+  forward without HTTP**, re-stamped with this epoch's discovery index and
+  store attribution.
 
-The store crawl lists in the coordinator, partitions the identifier
-frontier by the store's SHA-256 record hash
-(:func:`repro.io.shards.shard_index`), and runs each shard's resolve and
-policy sub-stages as one pool task.  When a shard's task completes, its
-records — merged in discovery order with the lines it carries from the
-parent — go straight into a :class:`~repro.io.shards.ShardedCorpusWriter`;
-shards with nothing to fetch are written after the phase.  The coordinator
-therefore holds one shard's records at a time, plus O(#identifiers) routing
-metadata.  Each GPT record is stamped with its global **discovery index**
-(its position in the listing frontier, the index :meth:`run` assigns too),
-so the published store is **byte-identical** to sharding the in-memory
-corpus — on any pool, at any worker count, cold, resumed or incremental.
+The crawl lists in the coordinator, partitions the identifier frontier by
+SHA-256 hash (:func:`repro.io.shards.shard_index`), and runs each
+partition's resolve and policy sub-stages as one pool task.  **How many
+partitions:** a store crawl uses the store's ``shards``, because shard files
+and carry-forward are per shard; an in-memory crawl has no on-disk layout
+to keep and uses ``max(1, workers)``, one task per worker.  When a
+partition's task completes, its records — merged in discovery order with the
+lines it carries from the parent — go straight to the sink; partitions with
+nothing to fetch follow after the phase.  The store crawl therefore holds
+one partition's records at a time, plus O(#identifiers) routing metadata.
+Each GPT record is stamped with its global **discovery index** (its position
+in the listing frontier), and the in-memory sink orders records by it, so
+the output is **byte-identical** at any partition count — on any pool, at
+any worker count, cold, resumed or incremental.
 
 On a process pool the picklable :class:`ShardCrawlSpec` (ecosystem, seed,
-failure injection) is broadcast to each worker once and every shard
+failure injection) is broadcast to each worker once and every partition's
 sub-pipeline is rebuilt from it inside the worker, so the simulated network
 is reconstructed, never inherited through fork, and per-task RNG re-seeding
 keeps fork and spawn start methods in agreement.  On a thread pool the
-shard tasks call the pipeline in-process and share one rate-limited
+partition tasks call the pipeline in-process and share one rate-limited
 transport.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -75,13 +79,7 @@ from repro.crawler.store_server import GPTStoreServer, install_store_servers
 from repro.crawler.transport import HostRateLimiter, RetryingTransport, TransportConfig
 from repro.ecosystem.models import SyntheticEcosystem
 from repro.exec import ExecOutcome, ExecTask, WorkerPool, make_pool, shared_state
-from repro.io import (
-    CrawlCheckpoint,
-    ShardedCorpusWriter,
-    gpt_to_payload,
-    policy_from_payload,
-    shard_index,
-)
+from repro.io import CrawlCheckpoint, ShardedCorpusWriter, policy_from_payload, shard_index
 from repro.io.shards import (
     _payload_gpt_id,
     _payload_policy_url,
@@ -183,24 +181,6 @@ def _merge_taxonomy(
             bucket[kind] = bucket.get(kind, 0) + count
 
 
-@dataclass(frozen=True)
-class CrawlStage:
-    """One declarative pipeline stage.
-
-    ``build_tasks`` is evaluated when the stage starts (earlier stages have
-    already merged, so it can depend on their output); ``encode`` turns a
-    task result into a JSON-serializable checkpoint payload; ``merge``
-    applies one payload — checkpointed or fresh — to the corpus.  Merging
-    runs single-threaded in task order, which is what keeps seeded crawls
-    deterministic at any worker count.
-    """
-
-    name: str
-    build_tasks: Callable[[], List[ExecTask]]
-    encode: Callable[[object], object]
-    merge: Callable[[str, object], None]
-
-
 def _encode_resolve(result: object) -> Dict[str, object]:
     """Checkpoint payload of one gizmo fetch."""
     return {"status": result.status, "manifest": result.manifest}
@@ -227,6 +207,45 @@ def _record_policy_urls(record: Mapping[str, object]) -> List[str]:
     return [url for url in urls if url]
 
 
+class _CorpusSink:
+    """The in-memory sink of :meth:`CrawlPipeline.run`.
+
+    It takes the writer calls a cold crawl makes and builds a
+    :class:`CrawlCorpus`.  Partitions complete in any order, so
+    :meth:`close` inserts records by discovery index (filling per-store
+    counts in that order) and policies by URL: the frontier order and the
+    fetch order.
+    """
+
+    def __init__(self) -> None:
+        self._gpts: List[Tuple[int, CrawledGPT]] = []
+        self._policies: List[PolicyFetchResult] = []
+        self._corpus = CrawlCorpus()
+
+    def add_gpt(self, gpt: CrawledGPT, discovery_index: int) -> None:
+        self._gpts.append((discovery_index, gpt))
+
+    def add_policy(self, result: PolicyFetchResult) -> None:
+        self._policies.append(result)
+
+    def set_metadata(
+        self, store_link_counts: Mapping[str, int], unresolved_gpt_ids: List[str]
+    ) -> None:
+        self._corpus.store_link_counts = dict(store_link_counts)
+        self._corpus.unresolved_gpt_ids = list(unresolved_gpt_ids)
+
+    def close(self) -> CrawlCorpus:
+        corpus = self._corpus
+        for discovery_index, gpt in sorted(self._gpts, key=lambda entry: entry[0]):
+            corpus.gpts[gpt.gpt_id] = gpt
+            corpus.discovery_indices[gpt.gpt_id] = discovery_index
+            for store in gpt.source_stores:
+                corpus.store_counts[store] = corpus.store_counts.get(store, 0) + 1
+        for result in sorted(self._policies, key=lambda result: result.url):
+            corpus.policies[result.url] = result
+        return corpus
+
+
 class CrawlPipeline:
     """Runs the store-crawl → manifest-resolve → policy-fetch pipeline.
 
@@ -239,7 +258,9 @@ class CrawlPipeline:
     page_size:
         Listing page size (mirrors the store servers' configuration).
     workers:
-        Worker-pool size for each stage (``<= 1`` crawls sequentially).
+        Worker-pool size (``<= 1`` crawls sequentially).  An in-memory
+        crawl (:meth:`run`) also partitions its frontier into
+        ``max(1, workers)`` hash partitions, one task per worker.
     transport_config:
         Retry/backoff/latency knobs for the transport wrapper.
     rate_limits:
@@ -254,20 +275,20 @@ class CrawlPipeline:
     checkpoint_every:
         Flush the checkpoint after this many completed tasks.
     shards:
-        Partition the store crawl into this many hash-routed shards (see
-        the module docstring); its checkpoint keeps one file per shard.
-        :meth:`run` with ``1`` (and no process backend) keeps the
-        in-memory single-corpus dataflow.
+        Shard count of the store :meth:`run_sharded` and
+        :meth:`run_incremental` publish, and so their partition count; the
+        checkpoint keeps one file per partition.  :meth:`run` ignores it: a
+        corpus has no on-disk layout, and the partition count changes no
+        byte.
     backend:
-        Execution backend for the per-shard sub-pipelines: ``"serial"``,
+        Execution backend for the partition tasks: ``"serial"``,
         ``"thread"``, ``"process"``, a borrowed
         :class:`~repro.exec.WorkerPool` (never closed here), or ``None``
         (serial at ``workers <= 1``, threads above).  The process kind
         requires an ecosystem-built pipeline (:meth:`from_ecosystem`), since
         workers reconstruct the simulated network from the ecosystem.  The
-        listing stage, and every stage of an unsharded crawl, runs on
-        threads in this process whatever the backend: its tasks share the
-        pipeline's transport.
+        listing stage runs on threads in this process whatever the backend:
+        its tasks share the pipeline's transport.
     """
 
     def __init__(
@@ -303,12 +324,12 @@ class CrawlPipeline:
         self.checkpoint_every = max(1, checkpoint_every)
         self.shards = max(1, shards)
         #: The generating ecosystem, when known (set by from_ecosystem);
-        #: required for process-backend shard workers.
+        #: required for process-backend partition workers.
         self.ecosystem: Optional[SyntheticEcosystem] = None
         self.statistics = CrawlStatistics()
-        #: Shard pool this pipeline built from a backend name (owned:
-        #: closed when the store crawl finishes).  A WorkerPool passed as
-        #: the backend is borrowed and never closed here.
+        #: Partition pool this pipeline built from a backend name (owned:
+        #: closed when the crawl finishes).  A WorkerPool passed as the
+        #: backend is borrowed and never closed here.
         self._owned_pool: Optional[WorkerPool] = None
         #: The ShardCrawlSpec broadcast to process workers — built once per
         #: pipeline so pool.broadcast sees the same object across the
@@ -352,83 +373,62 @@ class CrawlPipeline:
         return pipeline
 
     # ------------------------------------------------------------------
-    # Stage definitions
+    # Listing: the one coordinator stage
     # ------------------------------------------------------------------
-    def _listing_stage(self, corpus: CrawlCorpus,
-                       identifier_sources: Dict[str, List[str]]) -> CrawlStage:
+    def _list_stores(
+        self, checkpoint: Optional[CrawlCheckpoint]
+    ) -> Tuple[Dict[str, List[str]], Dict[str, int]]:
+        """Crawl every store's listing pages into the identifier frontier.
+
+        Returns identifier → every store that linked it (identifiers in
+        first-sight order, the discovery order) and store → listing link
+        count.  Both are merged in store order whatever order the tasks
+        complete in.  The tasks are closures over the shared transport, so
+        they run on :meth:`_stage_pool`; each store's result is
+        checkpointed as it completes.
+        """
+        done = checkpoint.load_stage("listing") if checkpoint is not None else {}
         crawler = StoreCrawler(self.transport)
+        pending = [
+            ExecTask(key=server.name, fn=crawler.crawl, args=(server.name, server.base_url))
+            for server in self.store_servers
+            if server.name not in done
+        ]
+        self.statistics.n_tasks_resumed += len(self.store_servers) - len(pending)
+        fresh: Dict[str, object] = {}
 
-        def build_tasks() -> List[ExecTask]:
-            return [
-                ExecTask(key=server.name, fn=crawler.crawl, args=(server.name, server.base_url))
-                for server in self.store_servers
-            ]
-
-        def encode(result: object) -> object:
-            return {
+        def on_result(outcome: ExecOutcome) -> None:
+            if not outcome.ok:
+                # Fetchers fold expected network failures into their
+                # results, so a task-level error is a code bug.
+                raise RuntimeError(f"crawl task {outcome.key!r} failed: {outcome.error}")
+            result = outcome.result
+            payload = {
                 "n_links": result.n_links,
                 "gpt_ids": result.gpt_ids,
                 "pages_visited": result.pages_visited,
                 "errors": result.errors,
             }
+            fresh[outcome.key] = payload
+            if checkpoint is not None:
+                checkpoint.record("listing", outcome.key, payload)
+                if len(fresh) % self.checkpoint_every == 0:
+                    checkpoint.flush("listing")
 
-        def merge(store_name: str, payload: object) -> None:
-            corpus.merge_listing(store_name, int(payload["n_links"]))
+        try:
+            self._stage_pool().run(pending, on_result=on_result)
+        finally:
+            if checkpoint is not None:
+                checkpoint.flush("listing")
+        done.update(fresh)
+        identifier_sources: Dict[str, List[str]] = {}
+        link_counts: Dict[str, int] = {}
+        for server in self.store_servers:
+            payload = done[server.name]
+            link_counts[server.name] = int(payload["n_links"])
             for identifier in payload["gpt_ids"]:
-                identifier_sources.setdefault(identifier, []).append(store_name)
-
-        return CrawlStage("listing", build_tasks, encode, merge)
-
-    def _resolve_stage(self, corpus: CrawlCorpus,
-                       identifier_sources: Dict[str, List[str]]) -> CrawlStage:
-        client = GizmoAPIClient(self.transport)
-
-        def build_tasks() -> List[ExecTask]:
-            return [
-                ExecTask(key=identifier, fn=client.fetch, args=(identifier,))
-                for identifier in identifier_sources
-            ]
-
-        # Global discovery indices: each identifier's position in the
-        # de-duplicated listing frontier.  Unresolved identifiers consume
-        # an index too, so the store crawl (which stamps from the same
-        # frontier before resolution outcomes are known) agrees
-        # byte-for-byte.  Built lazily: the frontier is final once the
-        # listing stage has merged, before the first resolve merge runs.
-        positions: Dict[str, int] = {}
-
-        def merge(identifier: str, payload: object) -> None:
-            if not positions:
-                positions.update(
-                    {ident: index for index, ident in enumerate(identifier_sources)}
-                )
-            gpt = self._resolved_gpt(payload, identifier_sources.get(identifier, []))
-            if gpt is None:
-                corpus.merge_unresolved(identifier)
-            else:
-                corpus.merge_gpt(gpt, discovery_index=positions[identifier])
-
-        return CrawlStage("resolve", build_tasks, _encode_resolve, merge)
-
-    def _policy_stage(self, corpus: CrawlCorpus) -> CrawlStage:
-        fetcher = PolicyFetcher(self.transport)
-
-        def build_tasks() -> List[ExecTask]:
-            urls = sorted(
-                {
-                    action.legal_info_url
-                    for action in corpus.unique_actions().values()
-                    if action.legal_info_url
-                }
-            )
-            return [ExecTask(key=url, fn=fetcher.fetch, args=(url,)) for url in urls]
-
-        def merge(url: str, payload: object) -> None:
-            result = _policy_result(url, payload)
-            corpus.merge_policy(url, result)
-            self.statistics.count_policy(result)
-
-        return CrawlStage("policies", build_tasks, _encode_policy, merge)
+                identifier_sources.setdefault(identifier, []).append(server.name)
+        return identifier_sources, link_counts
 
     def _resolved_gpt(
         self, payload: Mapping[str, object], stores: Sequence[str]
@@ -449,7 +449,7 @@ class CrawlPipeline:
         return gpt
 
     # ------------------------------------------------------------------
-    # Shard-partitioned crawl
+    # Partitioned resolve and policy phases
     # ------------------------------------------------------------------
     def _wants_process_backend(self) -> bool:
         if isinstance(self.backend, WorkerPool):
@@ -457,7 +457,7 @@ class CrawlPipeline:
         return self.backend == "process"
 
     def _stage_pool(self) -> WorkerPool:
-        """The thread pool in-coordinator stages run on (their tasks are
+        """The thread pool the listing stage runs on (its tasks are
         closures over the shared transport, so never a process pool)."""
         if isinstance(self.backend, WorkerPool) and not self.backend.is_process:
             return self.backend
@@ -465,10 +465,10 @@ class CrawlPipeline:
         return make_pool(named, self.workers)
 
     def _shard_pool(self) -> WorkerPool:
-        """The pool shard sub-pipelines run on.
+        """The pool partition sub-pipelines run on.
 
         ``backend="process"`` builds one process pool reused across the
-        resolve and policy phases (closed when the store crawl finishes).
+        resolve and policy phases (closed when the crawl finishes).
         On a thread pool the sub-pipelines share this pipeline's transport
         (and so its per-host buckets); the process kind refuses configured
         rate limits outright (see :meth:`_shard_crawl_spec`)."""
@@ -511,7 +511,6 @@ class CrawlPipeline:
             flaky_hosts=self.http.flaky_host_rates,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=self.checkpoint_every,
-            shards=self.shards,
             hostile_spec=(
                 self.http.hostile_spec if self.http.has_hostile_hosts else None
             ),
@@ -522,21 +521,24 @@ class CrawlPipeline:
         self,
         stage_name: str,
         shard: int,
+        n_shards: int,
         keys: Sequence[str],
         report_network_stats: bool = False,
     ) -> Dict[str, object]:
-        """Fetch one shard's slice of a stage, checkpointing incrementally.
+        """Fetch partition ``shard`` of ``n_shards`` of a stage,
+        checkpointing incrementally.
 
         Runs in the coordinator (thread pools, sharing the pipeline
         transport and therefore its rate limits) or inside a process worker
         on a rebuilt pipeline, which reports its own network counters.
-        Returns the shard's records in key order plus resume/network
-        counters.  Fetches within a shard are sequential; parallelism is
-        across shards.
+        Returns the partition's records in key order plus resume/network
+        counters.  Fetches within a partition are sequential; parallelism
+        is across partitions.  The checkpoint is flushed on the way out,
+        so an interrupted partition keeps what it fetched.
         """
         checkpoint: Optional[CrawlCheckpoint] = None
         if self.checkpoint_dir is not None:
-            checkpoint = CrawlCheckpoint(self.checkpoint_dir, n_shards=self.shards)
+            checkpoint = CrawlCheckpoint(self.checkpoint_dir, n_shards=n_shards)
         if stage_name == "resolve":
             fetch, encode = GizmoAPIClient(self.transport).fetch, _encode_resolve
         elif stage_name == "policies":
@@ -558,20 +560,22 @@ class CrawlPipeline:
         records: List = []
         n_resumed = 0
         since_flush = 0
-        for key in keys:
-            payload = done.get(key)
-            if payload is not None:
-                n_resumed += 1
-            else:
-                payload = encode(fetch(key))
-                if checkpoint is not None:
-                    checkpoint.append(stage_name, key, payload)
-                    since_flush += 1
-                    if since_flush % self.checkpoint_every == 0:
-                        checkpoint.flush(stage_name)
-            records.append((key, payload))
-        if checkpoint is not None:
-            checkpoint.flush(stage_name)
+        try:
+            for key in keys:
+                payload = done.get(key)
+                if payload is not None:
+                    n_resumed += 1
+                else:
+                    payload = encode(fetch(key))
+                    if checkpoint is not None:
+                        checkpoint.append(stage_name, key, payload)
+                        since_flush += 1
+                        if since_flush % self.checkpoint_every == 0:
+                            checkpoint.flush(stage_name)
+                records.append((key, payload))
+        finally:
+            if checkpoint is not None:
+                checkpoint.flush(stage_name)
         result: Dict[str, object] = {"records": records, "n_resumed": n_resumed}
         if network_before is not None:
             result.update(self._network_delta(network_before))
@@ -583,28 +587,31 @@ class CrawlPipeline:
         shard_keys: Sequence[Sequence[str]],
         consume: Callable[[int, Sequence], None],
     ) -> None:
-        """Fan one stage's shards out on the pool and stream the results.
+        """Fan one stage's partitions out on the pool and stream the results.
 
-        ``consume(shard, records)`` is called once per shard, serialized:
-        in completion order for the shards with keys to fetch, then with no
-        records for the rest (they may still carry parent records).  The
-        pool drops each shard's payload after consumption
-        (``keep_results=False``), so the coordinator holds at most one
-        shard's records at a time.  Writes are order-safe under
-        completion-order consumption because each shard's records route to
-        that shard's files alone.
+        ``shard_keys`` holds each partition's keys to fetch.
+        ``consume(shard, records)`` is called once per partition,
+        serialized: in completion order for the partitions with keys to
+        fetch, then with no records for the rest (they may still carry
+        parent records).  The pool drops each partition's payload after
+        consumption (``keep_results=False``), so the coordinator holds at
+        most one partition's fetched records at a time.  Writes are
+        order-safe under completion-order consumption because each shard's
+        records route to that shard's files alone, and the in-memory sink
+        orders what it collects when it closes.
         """
         pool = self._shard_pool()
         if pool.is_process:
             # The ShardCrawlSpec (ecosystem included) is broadcast once via
-            # the pool initializer; tasks carry only (stage, shard, keys),
-            # so per-task pickles are identifier-sized.
+            # the pool initializer; tasks carry only (stage, shard,
+            # n_shards, keys), so per-task pickles are identifier-sized.
             pool.broadcast(SHARD_SPEC_KEY, self._shard_crawl_spec())
+        n_shards = len(shard_keys)
         tasks = [
             ExecTask(
                 key=f"{stage_name}-{shard:05d}",
                 fn=_shard_stage_task_shared if pool.is_process else self._run_shard_stage,
-                args=(stage_name, shard, list(keys)),
+                args=(stage_name, shard, n_shards, list(keys)),
                 seed=_shard_task_seed(self.http.seed, stage_name, shard),
             )
             for shard, keys in enumerate(shard_keys)
@@ -617,7 +624,7 @@ class CrawlPipeline:
                 # results, so a task-level error is a code bug (or an
                 # unpicklable payload on a process pool).
                 raise RuntimeError(
-                    f"shard crawl task {outcome.key!r} failed: {outcome.error}"
+                    f"crawl partition task {outcome.key!r} failed: {outcome.error}"
                 )
             shard = int(outcome.key.rsplit("-", 1)[1])
             payload = outcome.result
@@ -639,7 +646,8 @@ class CrawlPipeline:
         epoch: int = 0,
         parent_fingerprint: Optional[str] = None,
     ):
-        """Crawl cold into a sharded store: the store crawl with no parent.
+        """Crawl cold into a sharded store: the crawl with a store sink and
+        no parent.
 
         Returns the published :class:`~repro.io.shards.ShardedCorpusStore`
         at ``shard_dir``, byte-identical to
@@ -656,7 +664,10 @@ class CrawlPipeline:
         oracle.
         """
         try:
-            return self._crawl_store(shard_dir, flush_every, epoch, parent_fingerprint)
+            return self._crawl(
+                self._store_sink(shard_dir, flush_every, epoch, parent_fingerprint),
+                self.shards,
+            )
         finally:
             self._close_owned_pool()
 
@@ -675,10 +686,10 @@ class CrawlPipeline:
         previous epoch's crawl published; ``changed_gpt_ids`` /
         ``changed_policy_urls`` are the change feed (an
         :class:`~repro.ecosystem.evolution.EpochDelta`'s fields of the same
-        names).  This is the store crawl of :meth:`run_sharded` with a
-        parent: the listing stage runs in full (what exists now is the one
-        question the parent cannot answer, and listings are ~2% of a cold
-        crawl's requests), every record the parent answered that the feed
+        names).  This is the crawl of :meth:`run_sharded` with a parent:
+        the listing stage runs in full (what exists now is the one question
+        the parent cannot answer, and listings are ~2% of a cold crawl's
+        requests), every record the parent answered that the feed
         does not name is carried forward shard-locally **without HTTP
         traffic**, and only new or changed identifiers (and drifted or
         flapping-host policies) are fetched.  The store is stamped epoch
@@ -712,11 +723,9 @@ class CrawlPipeline:
             if epoch is None:
                 epoch = manifest.epoch + 1
             self._incremental_meta = {"parent": parent_fingerprint, "epoch": epoch}
-            return self._crawl_store(
-                shard_dir,
-                flush_every,
-                epoch,
-                parent_fingerprint,
+            return self._crawl(
+                self._store_sink(shard_dir, flush_every, epoch, parent_fingerprint),
+                self.shards,
                 parent=parent,
                 changed_ids=set(changed_gpt_ids),
                 changed_policies=set(changed_policy_urls),
@@ -725,54 +734,69 @@ class CrawlPipeline:
             self._close_owned_pool()
             self._incremental_meta = None
 
-    def _crawl_store(
+    def _store_sink(
         self,
         shard_dir: str,
         flush_every: int,
         epoch: int,
         parent_fingerprint: Optional[str],
+    ) -> Callable[[], ShardedCorpusWriter]:
+        """The ``open_sink`` of a store crawl: opens the shard writer of
+        the store at ``shard_dir``."""
+        return functools.partial(
+            ShardedCorpusWriter,
+            shard_dir,
+            n_shards=self.shards,
+            flush_every=flush_every,
+            epoch=epoch,
+            parent_fingerprint=parent_fingerprint,
+        )
+
+    def _crawl(
+        self,
+        open_sink: Callable[[], object],
+        n_shards: int,
         parent=None,
         changed_ids: Set[str] = frozenset(),
         changed_policies: Set[str] = frozenset(),
     ):
-        """The one store crawl: listing, then resolve and policy shard
-        phases that carry what ``parent`` already holds and fetch the rest.
+        """The one crawl: listing, then resolve and policy phases over
+        ``n_shards`` hash partitions that carry what ``parent`` already
+        holds and fetch the rest; returns the sink's ``close()``.
 
-        ``parent=None`` is a cold crawl.  Every shard file is written
-        index-ascending (GPTs) or URL-sorted (policies), the order a cold
-        crawl of the same frontier produces.
+        ``parent=None`` is a cold crawl.  ``open_sink()`` is called once the
+        frontier is listed and partitioned, so a refused checkpoint or a
+        failed listing leaves no store behind.  Each partition's GPT
+        records reach the sink index-ascending and its policies URL-sorted,
+        the order a cold crawl of the same frontier produces.
         """
         self.statistics = CrawlStatistics()
         network_before = self._network_counters()
-        checkpoint = self._open_checkpoint(n_shards=self.shards)
+        checkpoint = self._open_checkpoint(n_shards=n_shards)
         if checkpoint is not None:
-            # Settle the layout marker before any shard sub-pipeline opens
-            # its own view of the directory (their flushes would otherwise
-            # race to write it).
+            # Settle the layout marker before any partition sub-pipeline
+            # opens its own view of the directory (their flushes would
+            # otherwise race to write it).
             checkpoint.ensure_layout()
 
         def parent_keys(kind: str, scan: Callable[[str], str]) -> List[Set[str]]:
             # One key-only pass per parent shard.  shard_index is the same
             # hash at equal shard counts, so parent shard s holds exactly
-            # shard s's carry-forward candidates.
+            # partition s's carry-forward candidates.
             if parent is None:
-                return [set()] * self.shards
+                return [set()] * n_shards
             return [
                 {scan(line) for line in parent.iter_shard_lines(kind, shard)}
-                for shard in range(self.shards)
+                for shard in range(n_shards)
             ]
 
         # Stage 1 — listing, in the coordinator: the identifier frontier
-        # must exist before it can be partitioned.  The throwaway corpus
-        # holds per-store link counts only, never GPT records.
-        identifier_sources: Dict[str, List[str]] = {}
-        listing_counts = CrawlCorpus()
-        self._run_stage(self._listing_stage(listing_counts, identifier_sources), checkpoint)
+        # must exist before it can be partitioned.
+        identifier_sources, link_counts = self._list_stores(checkpoint)
         self.statistics.n_unique_identifiers = len(identifier_sources)
         identifier_order = list(identifier_sources)
         # The coordinator owns the listing order, so it stamps each record's
-        # global discovery index: the identifier's frontier position, the
-        # same index the in-memory ``_resolve_stage`` merge assigns.
+        # global discovery index: the identifier's frontier position.
         frontier_position = {
             identifier: position for position, identifier in enumerate(identifier_order)
         }
@@ -784,10 +808,10 @@ class CrawlPipeline:
         parent_ids = parent_keys("gpts", _payload_gpt_id)
         parent_unresolved = set(parent.manifest.unresolved_gpt_ids) if parent else set()
         unresolved: Set[str] = set()
-        carried: List[Set[str]] = [set() for _ in range(self.shards)]
-        fetch_ids: List[List[str]] = [[] for _ in range(self.shards)]
+        carried: List[Set[str]] = [set() for _ in range(n_shards)]
+        fetch_ids: List[List[str]] = [[] for _ in range(n_shards)]
         for identifier in identifier_order:
-            shard = shard_index(identifier, self.shards)
+            shard = shard_index(identifier, n_shards)
             if identifier not in changed_ids:
                 if identifier in parent_ids[shard]:
                     carried[shard].add(identifier)
@@ -798,21 +822,16 @@ class CrawlPipeline:
                     continue
             fetch_ids[shard].append(identifier)
 
-        writer = ShardedCorpusWriter(
-            shard_dir,
-            n_shards=self.shards,
-            flush_every=flush_every,
-            epoch=epoch,
-            parent_fingerprint=parent_fingerprint,
-        )
+        sink = open_sink()
         policy_urls: Set[str] = set()
         # Store sets repeat across records, so each unique set is serialized
         # for the line splice exactly once (None = needs the real encoder).
         stores_json_cache: Dict[Tuple[str, ...], Optional[str]] = {}
 
-        # Stage 2 — resolve.  Each shard's fetched records and carried lines
-        # are merged on discovery index and written as soon as the shard's
-        # task completes, or after the phase when it fetches nothing.
+        # Stage 2 — resolve.  Each partition's fetched records and carried
+        # lines are merged on discovery index and written as soon as the
+        # partition's task completes, or after the phase when it fetches
+        # nothing.
         def write_gpts(shard: int, records: Sequence) -> None:
             entries: List = []
             for identifier, payload in records:
@@ -820,7 +839,7 @@ class CrawlPipeline:
                 if gpt is None:
                     unresolved.add(identifier)
                 else:
-                    entries.append((frontier_position[identifier], gpt_to_payload(gpt)))
+                    entries.append((frontier_position[identifier], gpt))
             if carried[shard]:
                 for line in parent.iter_shard_lines("gpts", shard):
                     identifier = _payload_gpt_id(line)
@@ -853,40 +872,47 @@ class CrawlPipeline:
                     self.statistics.n_records_carried += 1
             entries.sort(key=lambda entry: entry[0])
             for position, record in entries:
+                if isinstance(record, CrawledGPT):
+                    policy_urls.update(
+                        action.legal_info_url
+                        for action in record.actions
+                        if action.legal_info_url
+                    )
+                    sink.add_gpt(record, discovery_index=position)
+                    continue
                 if isinstance(record, dict):
                     policy_urls.update(_record_policy_urls(record))
-                    writer.add_gpt_payload(record, discovery_index=position)
+                    sink.add_gpt_payload(record, discovery_index=position)
                     continue
                 line, identifier, stores = record
                 urls = _scan_policy_urls(line)
                 policy_urls.update(
                     urls if urls is not None else _record_policy_urls(json.loads(line))
                 )
-                writer.add_gpt_line(
+                sink.add_gpt_line(
                     line, gpt_id=identifier, discovery_index=position, source_stores=stores
                 )
 
         self._run_shard_phase("resolve", fetch_ids, write_gpts)
 
-        # Stage 3 — policies.  The global URL set (sorted, as in the
-        # in-memory pipeline) routes each URL to exactly one shard, so a
-        # policy referenced by GPTs in several shards is fetched once.  A
-        # URL is carried when the parent fetched it, the drift feed does not
-        # name it, and its host is not flapping: flapping hosts stamp
-        # responses with per-visit revision markers the parent cannot vouch
-        # for, so refetching (at attempt 0, like a cold crawl's first visit)
-        # is what keeps byte-identity.
+        # Stage 3 — policies.  The global URL set (sorted) routes each URL to
+        # exactly one partition, so a policy referenced by GPTs in several
+        # partitions is fetched once.  A URL is carried when the parent
+        # fetched it, the drift feed does not name it, and its host is not
+        # flapping: flapping hosts stamp responses with per-visit revision
+        # markers the parent cannot vouch for, so refetching (at attempt 0,
+        # like a cold crawl's first visit) is what keeps byte-identity.
         flapping_hosts = (
             set(self.http.hostile_spec.get("flapping", {}))
             if self.http.has_hostile_hosts
             else set()
         )
         parent_urls = parent_keys("policies", _payload_policy_url)
-        shard_urls: List[List[str]] = [[] for _ in range(self.shards)]
+        shard_urls: List[List[str]] = [[] for _ in range(n_shards)]
         for url in sorted(policy_urls):
-            shard_urls[shard_index(url, self.shards)].append(url)
-        carried_urls: List[Set[str]] = [set() for _ in range(self.shards)]
-        fetch_urls: List[List[str]] = [[] for _ in range(self.shards)]
+            shard_urls[shard_index(url, n_shards)].append(url)
+        carried_urls: List[Set[str]] = [set() for _ in range(n_shards)]
+        fetch_urls: List[List[str]] = [[] for _ in range(n_shards)]
         for shard, urls in enumerate(shard_urls):
             for url in urls:
                 if (
@@ -907,23 +933,22 @@ class CrawlPipeline:
                         results[url] = policy_from_payload(json.loads(line))
                         self.statistics.n_policies_carried += 1
             for url in shard_urls[shard]:
-                writer.add_policy(results[url])
+                sink.add_policy(results[url])
                 self.statistics.count_policy(results[url])
 
         self._run_shard_phase("policies", fetch_urls, write_policies)
 
-        # Manifest metadata: unresolved identifiers in global discovery
-        # order, as the in-memory corpus records them.
-        writer.set_metadata(
-            store_link_counts=listing_counts.store_link_counts,
+        # Corpus metadata: unresolved identifiers in global discovery order.
+        sink.set_metadata(
+            store_link_counts=link_counts,
             unresolved_gpt_ids=[i for i in identifier_order if i in unresolved],
         )
-        store = writer.close()
+        result = sink.close()
         # Coordinator-side network counters (listing pages always; resolve
         # and policy fetches too on thread pools, which share this
         # pipeline's transport — process workers reported their own).
         self.statistics.add_network(self._network_delta(network_before))
-        return store
+        return result
 
     # ------------------------------------------------------------------
     # Execution
@@ -952,46 +977,6 @@ class CrawlPipeline:
         }
         delta["host_taxonomy"] = _taxonomy_delta(before["host_taxonomy"], after["host_taxonomy"])
         return delta
-
-    def _run_stage(self, stage: CrawlStage,
-                   checkpoint: Optional[CrawlCheckpoint]) -> None:
-        tasks = stage.build_tasks()
-        done: Dict[str, object] = (
-            dict(checkpoint.load_stage(stage.name)) if checkpoint is not None else {}
-        )
-        pending = [task for task in tasks if task.key not in done]
-        self.statistics.n_tasks_resumed += len(tasks) - len(pending)
-
-        fresh: Dict[str, object] = {}
-        if pending:
-            flush_counter = {"n": 0}
-
-            def on_result(outcome: ExecOutcome) -> None:
-                if not outcome.ok:
-                    # Fetchers fold expected network failures into their
-                    # results, so a task-level error is a code bug.
-                    raise RuntimeError(
-                        f"crawl task {outcome.key!r} failed: {outcome.error}"
-                    )
-                payload = stage.encode(outcome.result)
-                fresh[outcome.key] = payload
-                if checkpoint is not None:
-                    checkpoint.record(stage.name, outcome.key, payload)
-                    flush_counter["n"] += 1
-                    if flush_counter["n"] % self.checkpoint_every == 0:
-                        checkpoint.flush(stage.name)
-
-            try:
-                self._stage_pool().run(pending, on_result=on_result)
-            finally:
-                if checkpoint is not None:
-                    checkpoint.flush(stage.name)
-
-        # Deterministic merge: apply payloads in task order, whether they
-        # came from the checkpoint or from this run.
-        for task in tasks:
-            payload = done.get(task.key, fresh.get(task.key))
-            stage.merge(task.key, payload)
 
     def _checkpoint_fingerprint(self) -> Dict[str, object]:
         """What must match for a checkpoint to be resumable by this crawl."""
@@ -1034,12 +1019,14 @@ class CrawlPipeline:
     def run(self) -> CrawlCorpus:
         """Run the crawl and return the resulting corpus.
 
-        With ``shards > 1`` (or the process backend) this is the
-        compatibility path over :meth:`run_sharded`: the partitioned crawl
-        streams into a temporary sharded store, and the corpus is rebuilt
-        from it in **exact discovery order** (the store records each
-        record's discovery index) — byte-identical to an unsharded run,
-        record order included.
+        This is the crawl of :meth:`run_sharded` with an in-memory sink in
+        place of the shard writer.  The frontier is split into
+        ``max(1, workers)`` hash partitions, one task per worker, on the
+        pool ``backend`` names; ``shards`` is ignored, since a corpus has
+        no on-disk layout and the partition count changes no byte.  Records
+        come back in discovery order and policies in URL order, with the
+        same bytes, dict orders and statistics at every worker count and on
+        every backend.
 
         Raises
         ------
@@ -1048,39 +1035,18 @@ class CrawlPipeline:
             different configuration (seed, stores, or ecosystem size) —
             merging it would silently corrupt the corpus.
         """
-        if self.shards > 1 or self._wants_process_backend():
-            with tempfile.TemporaryDirectory(prefix="repro-crawl-shards-") as root:
-                # The store records discovery indices, so the rebuilt corpus
-                # comes back in exact discovery order — identical record
-                # order (not just record set) to an unsharded run.
-                return self.run_sharded(root).load_corpus()
-
-        corpus = CrawlCorpus()
-        self.statistics = CrawlStatistics()
-        network_before = self._network_counters()
-        checkpoint = self._open_checkpoint(n_shards=1)
-
-        identifier_sources: Dict[str, List[str]] = {}
-        stages: Sequence[Callable[[], CrawlStage]] = (
-            lambda: self._listing_stage(corpus, identifier_sources),
-            lambda: self._resolve_stage(corpus, identifier_sources),
-            lambda: self._policy_stage(corpus),
-        )
-        for build_stage in stages:
-            stage = build_stage()
-            self._run_stage(stage, checkpoint)
-            if stage.name == "listing":
-                self.statistics.n_unique_identifiers = len(identifier_sources)
-        self.statistics.add_network(self._network_delta(network_before))
-        return corpus
+        try:
+            return self._crawl(_CorpusSink, max(1, self.workers))
+        finally:
+            self._close_owned_pool()
 
 
 # ---------------------------------------------------------------------------
-# Process-pool shard workers
+# Process-pool partition workers
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardCrawlSpec:
-    """Everything a process worker needs to rebuild one shard sub-pipeline.
+    """Everything a process worker needs to rebuild a partition sub-pipeline.
 
     Plain picklable data: the generating ecosystem, the crawl seed, and the
     network/transport configuration (including failure injection configured
@@ -1100,7 +1066,6 @@ class ShardCrawlSpec:
     flaky_hosts: Dict[str, float]
     checkpoint_dir: Optional[str]
     checkpoint_every: int
-    shards: int
     #: Adversarial host behaviors (see SimulatedHTTPLayer.hostile_spec);
     #: ``None`` when the coordinator's network has none configured.
     hostile_spec: Optional[Dict[str, Dict[str, object]]] = None
@@ -1115,7 +1080,7 @@ def _shard_task_seed(seed: int, stage_name: str, shard: int) -> int:
 
 
 def _build_shard_pipeline(spec: ShardCrawlSpec) -> "CrawlPipeline":
-    """Rebuild the simulated network a shard worker fetches against."""
+    """Rebuild the simulated network a partition worker fetches against."""
     pipeline = CrawlPipeline.from_ecosystem(
         spec.ecosystem,
         page_size=spec.page_size,
@@ -1123,7 +1088,6 @@ def _build_shard_pipeline(spec: ShardCrawlSpec) -> "CrawlPipeline":
         transport_config=spec.transport_config,
         checkpoint_dir=spec.checkpoint_dir,
         checkpoint_every=spec.checkpoint_every,
-        shards=spec.shards,
     )
     for host, rate in spec.flaky_hosts.items():
         pipeline.http.set_flaky_host(host, rate)
@@ -1132,7 +1096,7 @@ def _build_shard_pipeline(spec: ShardCrawlSpec) -> "CrawlPipeline":
     return pipeline
 
 
-#: Broadcast key the sharded crawl registers its ShardCrawlSpec under.
+#: Broadcast key the crawl registers its ShardCrawlSpec under.
 SHARD_SPEC_KEY = "crawl/shard-spec"
 
 #: Worker-local (spec, pipeline) pair so a warm worker rebuilds the
@@ -1145,14 +1109,14 @@ _WORKER_SHARD_PIPELINE: List = []
 
 
 def _shard_stage_task_shared(
-    stage_name: str, shard: int, keys: List[str]
+    stage_name: str, shard: int, n_shards: int, keys: List[str]
 ) -> Dict[str, object]:
-    """Run one shard's resolve/policy sub-stage in a process worker.
+    """Run one partition's resolve/policy sub-stage in a process worker.
 
     Identifier-sized task payload; the ecosystem-sized spec shipped once
     via the pool initializer.  The rebuilt pipeline shares nothing with the
     coordinator except the spec; per-URL failure and retry draws are pure
-    functions of ``(seed, url, attempt)`` and the shards partition the URL
+    functions of ``(seed, url, attempt)`` and the partitions split the URL
     space, so the records match a coordinator-side run exactly.  Safe to
     reuse one rebuilt pipeline across tasks because ``_run_shard_stage``
     snapshots its network counters per call.
@@ -1161,4 +1125,6 @@ def _shard_stage_task_shared(
     if not _WORKER_SHARD_PIPELINE or _WORKER_SHARD_PIPELINE[0] is not spec:
         _WORKER_SHARD_PIPELINE[:] = [spec, _build_shard_pipeline(spec)]
     pipeline = _WORKER_SHARD_PIPELINE[1]
-    return pipeline._run_shard_stage(stage_name, shard, keys, report_network_stats=True)
+    return pipeline._run_shard_stage(
+        stage_name, shard, n_shards, keys, report_network_stats=True
+    )

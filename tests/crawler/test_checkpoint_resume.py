@@ -1,11 +1,40 @@
 """Tests for crawl checkpointing, resume, and worker-count determinism."""
 
 import json
+import os
 
 import pytest
 
 from repro.crawler.pipeline import CrawlPipeline
 from repro.io import CrawlCheckpoint, corpus_to_payload, policies_to_payload
+
+#: Backend the marked smoke case runs on (`make test-process` overrides).
+SMOKE_BACKEND = os.environ.get("REPRO_TEST_BACKEND", "thread")
+
+
+def _crawl_identity(pipeline, corpus):
+    """Everything an in-memory crawl must reproduce at any partition count:
+    the payloads, every dict order, and the statistics."""
+    stats = pipeline.statistics
+    return {
+        "corpus": corpus_to_payload(corpus),
+        "policies": policies_to_payload(corpus),
+        "gpt_order": list(corpus.gpts),
+        "discovery_indices": list(corpus.discovery_indices.items()),
+        "store_counts": list(corpus.store_counts.items()),
+        "store_link_counts": list(corpus.store_link_counts.items()),
+        "policy_order": list(corpus.policies),
+        "unresolved_gpt_ids": list(corpus.unresolved_gpt_ids),
+        "statistics": (
+            stats.n_unique_identifiers,
+            stats.n_resolved,
+            stats.n_unresolved,
+            stats.n_policy_urls,
+            stats.n_policy_failures,
+            stats.n_http_requests,
+            stats.n_retries,
+        ),
+    }
 
 
 class TestCrawlCheckpoint:
@@ -147,13 +176,28 @@ class TestShardedCheckpoint:
 
 
 class TestPipelineDeterminismAndResume:
-    def test_worker_counts_produce_identical_corpora(self, small_ecosystem):
-        sequential = CrawlPipeline.from_ecosystem(small_ecosystem, seed=11).run()
-        concurrent = CrawlPipeline.from_ecosystem(
-            small_ecosystem, seed=11, workers=8
-        ).run()
+    @pytest.mark.parametrize(
+        "workers, backend",
+        [
+            (0, None),
+            (1, None),
+            (3, None),
+            (8, None),
+            # An in-memory crawl partitions its frontier over its workers,
+            # on whichever backend runs them.
+            pytest.param(2, SMOKE_BACKEND, marks=pytest.mark.process_smoke),
+        ],
+    )
+    def test_worker_counts_produce_identical_corpora(self, small_ecosystem, workers, backend):
+        reference = CrawlPipeline.from_ecosystem(small_ecosystem, seed=11)
+        sequential = reference.run()
+        pipeline = CrawlPipeline.from_ecosystem(
+            small_ecosystem, seed=11, workers=workers, backend=backend
+        )
+        concurrent = pipeline.run()
         assert corpus_to_payload(sequential) == corpus_to_payload(concurrent)
         assert policies_to_payload(sequential) == policies_to_payload(concurrent)
+        assert _crawl_identity(pipeline, concurrent) == _crawl_identity(reference, sequential)
 
     def test_checkpointed_run_skips_completed_tasks(self, small_ecosystem, tmp_path):
         first = CrawlPipeline.from_ecosystem(
@@ -172,7 +216,21 @@ class TestPipelineDeterminismAndResume:
         assert corpus_to_payload(rerun_corpus) == corpus_to_payload(first_corpus)
         assert policies_to_payload(rerun_corpus) == policies_to_payload(first_corpus)
 
-    def test_killed_crawl_resumes_to_identical_corpus(self, small_ecosystem, tmp_path):
+    @pytest.mark.parametrize(
+        "resume_with",
+        [
+            {"workers": 4},
+            # Cross-sink resumes: a checkpoint the 4-partition in-memory
+            # crawl left behind resumes at another partition count and into
+            # a store.
+            {"workers": 0},
+            {"shards": 3},
+        ],
+        ids=["run-4-workers", "run-0-workers", "run_sharded-3-shards"],
+    )
+    def test_killed_crawl_resumes_to_identical_corpus(
+        self, small_ecosystem, tmp_path, resume_with
+    ):
         uninterrupted = CrawlPipeline.from_ecosystem(
             small_ecosystem, seed=11, workers=4
         ).run()
@@ -195,13 +253,18 @@ class TestPipelineDeterminismAndResume:
             killed.run()
 
         resumed = CrawlPipeline.from_ecosystem(
-            small_ecosystem, seed=11, workers=4,
-            checkpoint_dir=str(tmp_path), resume=True,
+            small_ecosystem, seed=11, checkpoint_dir=str(tmp_path), resume=True,
+            **resume_with,
         )
-        corpus = resumed.run()
+        if "shards" in resume_with:
+            corpus = resumed.run_sharded(tmp_path / "resumed-store").load_corpus()
+        else:
+            corpus = resumed.run()
         assert resumed.statistics.n_tasks_resumed > 0
         assert corpus_to_payload(corpus) == corpus_to_payload(uninterrupted)
         assert policies_to_payload(corpus) == policies_to_payload(uninterrupted)
+        assert list(corpus.gpts) == list(uninterrupted.gpts)
+        assert corpus.discovery_indices == uninterrupted.discovery_indices
 
     def test_resume_with_mismatched_config_is_refused(self, small_ecosystem, tmp_path):
         CrawlPipeline.from_ecosystem(

@@ -135,8 +135,10 @@ class TestWarmPoolCrawl:
 
 class TestCompatibilityMerge:
     def test_run_is_byte_identical_to_unsharded(self, ecosystem, reference):
-        """run() with shards rebuilds the corpus from the sharded store in
-        exact discovery order — byte-identical payloads, no normalization."""
+        """run() ignores ``shards``: a corpus has no on-disk layout, so the
+        in-memory crawl partitions over its workers instead, and returns
+        the unsharded corpus in exact discovery order — byte-identical
+        payloads, no normalization."""
         compat = _pipeline(ecosystem, shards=SHARDS, workers=2, backend="thread").run()
         unsharded = reference["corpus"]
         assert canonical_json(corpus_to_payload(compat)) == canonical_json(
@@ -216,6 +218,58 @@ class TestShardedCrawlResume:
         assert resumed.statistics.n_tasks_resumed > 0
         assert _store_identity(store, reference)
 
+    @pytest.mark.parametrize("entry", ["run", "run_sharded"])
+    def test_interrupted_partition_flushes_its_fetches(
+        self, ecosystem, reference, tmp_path, entry
+    ):
+        """A partition killed between two periodic flushes still flushes
+        what it fetched on the way out: the resumed crawl skips those
+        fetches, for either sink, and still reproduces the reference."""
+
+        def crawl(pipeline, name):
+            if entry == "run":
+                return pipeline.run()
+            return pipeline.run_sharded(tmp_path / name).load_corpus()
+
+        uninterrupted = _pipeline(ecosystem, shards=1, backend="serial")
+        crawl(uninterrupted, "uninterrupted")
+
+        checkpoint_dir = str(tmp_path / "checkpoint")
+        killed = _pipeline(
+            ecosystem, shards=1, backend="serial",
+            checkpoint_dir=checkpoint_dir, checkpoint_every=1000,
+        )
+        real_get = killed.http.get
+        calls = {"n": 0}
+
+        def killer_get(url):
+            calls["n"] += 1
+            if calls["n"] == 80:  # mid-resolve, far from a periodic flush
+                raise KeyboardInterrupt
+            return real_get(url)
+
+        killed.http.get = killer_get
+        with pytest.raises(KeyboardInterrupt):
+            crawl(killed, "dead")
+
+        resumed = _pipeline(
+            ecosystem, shards=1, backend="serial",
+            checkpoint_dir=checkpoint_dir, resume=True,
+        )
+        corpus = crawl(resumed, "resumed")
+        # More than the listing's per-store tasks came from the checkpoint.
+        assert resumed.statistics.n_tasks_resumed > len(resumed.store_servers)
+        assert (
+            resumed.statistics.n_http_requests
+            < uninterrupted.statistics.n_http_requests
+        )
+        assert canonical_json(corpus_to_payload(corpus)) == canonical_json(
+            corpus_to_payload(reference["corpus"])
+        )
+        assert canonical_json(policies_to_payload(corpus)) == canonical_json(
+            policies_to_payload(reference["corpus"])
+        )
+
     def test_shard_sliced_checkpoint_load_is_bounded(self, tmp_path):
         """load_stage_for_shard returns only the shard's own records, via
         the fast path (marker matches) and the filtered path (mixed)."""
@@ -260,6 +314,9 @@ class TestShardedCrawlResume:
         )
         with pytest.raises(ValueError):
             mismatched.run_sharded(tmp_path / "b")
+        # The store sink opens only after the checkpoint check: a refused
+        # resume leaves no store directory behind.
+        assert not (tmp_path / "b").exists()
 
 
 class TestProcessKindRequirements:

@@ -1,12 +1,17 @@
 #!/usr/bin/env python
-"""Lint gate: analysis code must not materialize the whole corpus.
+"""Lint gate: analysis and crawl code must not materialize the whole corpus.
 
 The sharded measurement path exists so that every analysis stage holds one
 record (or one shard) at a time.  Calling ``ShardedCorpusStore.load_corpus``
 from code under ``src/repro/analysis/`` silently re-materializes the entire
 corpus and defeats bounded-memory sharding, so ``make lint`` rejects it.
+The crawl (``src/repro/crawler/``) is held to the same rule: it hands its
+records to a sink (the shard writer, or the in-memory corpus of
+``CrawlPipeline.run``), so it never needs to build its result by writing a
+store and loading it back.
 
-Rules (checked textually, per line, on ``src/repro/analysis/**/*.py``):
+Rules (checked textually, per line, on ``src/repro/analysis/**/*.py`` and
+``src/repro/crawler/**/*.py``):
 
 * any ``load_corpus`` call is an error, unless the line carries an explicit
   ``lint-allow-materialize`` pragma comment explaining itself (today the
@@ -31,7 +36,8 @@ from pathlib import Path
 
 BANNED = ("load_corpus", "corpus_from_payload", "load_classification")
 PRAGMA = "lint-allow-materialize"
-ANALYSIS_DIR = Path(__file__).resolve().parent.parent / "src" / "repro" / "analysis"
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
+CHECKED_DIRS = (PACKAGE_DIR / "analysis", PACKAGE_DIR / "crawler")
 
 CALL_PATTERN = re.compile(
     r"\b(" + "|".join(re.escape(name) for name in BANNED) + r")\s*\("
@@ -57,12 +63,14 @@ def find_violations(root: Path) -> list[str]:
 
 
 def main() -> int:
-    if not ANALYSIS_DIR.is_dir():
-        print(f"check_no_materialize: missing directory {ANALYSIS_DIR}", file=sys.stderr)
-        return 1
-    violations = find_violations(ANALYSIS_DIR)
+    violations: list[str] = []
+    for directory in CHECKED_DIRS:
+        if not directory.is_dir():
+            print(f"check_no_materialize: missing directory {directory}", file=sys.stderr)
+            return 1
+        violations.extend(find_violations(directory))
     if violations:
-        print("ERROR: make lint: whole-corpus materialization in analysis code:")
+        print("ERROR: make lint: whole-corpus materialization in analysis or crawl code:")
         for violation in violations:
             print(f"  - {violation}")
         return 1
