@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,16 +138,22 @@ class CollectionAccumulator:
         self.category_gpt_counts: Counter = Counter()
         self.seen_action_ids: set = set()
 
-    def update(self, gpt) -> None:
-        """Fold one GPT's collected-type footprint into the counters."""
-        if not gpt.has_actions:
+    def update(self, gpt_id: str, action_ids: Sequence[str]) -> None:
+        """Fold one GPT's collected-type footprint into the counters.
+
+        Takes all this analysis reads of a GPT record: its id and the ids
+        of its Actions.  :func:`analyze_collection` passes that projection
+        of each record; the shard runner folds the party index's
+        ``(gpt id, action id)`` embeddings instead of re-reading records.
+        """
+        if not action_ids:
             return
         self.n_action_gpts += 1
         gpt_types = set()
         gpt_categories = set()
-        for action in gpt.actions:
-            self.seen_action_ids.add(action.action_id)
-            for key in self.collected_by_action.get(action.action_id, []):
+        for action_id in action_ids:
+            self.seen_action_ids.add(action_id)
+            for key in self.collected_by_action.get(action_id, []):
                 gpt_types.add(key)
                 gpt_categories.add(key[0])
         for key in gpt_types:
@@ -223,5 +229,5 @@ def analyze_collection(
     party_index = party_index or build_party_index(corpus)
     accumulator = CollectionAccumulator(classification.action_data_types())
     for gpt in corpus.iter_records():
-        accumulator.update(gpt)
+        accumulator.update(gpt.gpt_id, [action.action_id for action in gpt.actions])
     return accumulator.finalize(party_index)

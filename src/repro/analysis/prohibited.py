@@ -9,7 +9,7 @@ Action collecting prohibited or sensitive data types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.classification.results import ClassificationResult
 from repro.io import CorpusSource
@@ -93,16 +93,21 @@ class ProhibitedAccumulator:
         self.offending_gpts: List[str] = []
         self.health_collecting_gpts: List[str] = []
 
-    def update(self, gpt) -> None:
-        """Check one GPT's Actions against the flagged-action rollups."""
-        if not gpt.has_actions:
+    def update(self, gpt_id: str, action_ids: Sequence[str]) -> None:
+        """Check one GPT's Actions against the flagged-action rollups.
+
+        Takes all this analysis reads of a GPT record: its id and the ids
+        of its Actions.  :func:`analyze_prohibited` passes that projection
+        of each record; the shard runner folds the party index's
+        ``(gpt id, action id)`` embeddings instead of re-reading records.
+        """
+        if not action_ids:
             return
         self.n_action_gpts += 1
-        action_ids = {action.action_id for action in gpt.actions}
-        if action_ids & self._offending_ids:
-            self.offending_gpts.append(gpt.gpt_id)
-        if action_ids & self._health_ids:
-            self.health_collecting_gpts.append(gpt.gpt_id)
+        if not self._offending_ids.isdisjoint(action_ids):
+            self.offending_gpts.append(gpt_id)
+        if not self._health_ids.isdisjoint(action_ids):
+            self.health_collecting_gpts.append(gpt_id)
 
     def merge(self, other: "ProhibitedAccumulator") -> None:
         """Fold another shard's partial id lists into this one."""
@@ -132,5 +137,5 @@ def analyze_prohibited(
         classification.action_data_types(),
     )
     for gpt in corpus.iter_records():
-        accumulator.update(gpt)
+        accumulator.update(gpt.gpt_id, [action.action_id for action in gpt.actions])
     return accumulator.finalize()

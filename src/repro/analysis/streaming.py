@@ -6,12 +6,17 @@ over the source's shards.  The source is either the on-disk
 :class:`~repro.crawler.corpus.CrawlCorpus`, which is one shard and costs
 no parse per pass:
 
-* **GPT-record map** — one task per GPT shard, scheduled on a
-  :class:`~repro.exec.WorkerPool`, streams the shard's GPT records
-  through a fresh set of accumulator objects (``CrawlStatsAccumulator``,
-  ``ToolUsageAccumulator``, …, plus an :class:`ActionCatalogAccumulator`
-  when the policy analyses need the Action → policy-URL join), holding one
-  record at a time;
+* **GPT-record map** — runs once per runner: one task per GPT shard,
+  scheduled on a :class:`~repro.exec.WorkerPool`, streams the shard's GPT
+  records through one fixed set of accumulators (party, Action catalog,
+  crawl stats, tool usage, multi-Action, co-occurrence, prevalence),
+  holding one record at a time.  Right after the merge the runner
+  finalizes every analysis that needs no classification and keeps only
+  those results, the Action catalog and the prevalence counts, which
+  every later request reads instead of the records.  Collection and
+  prohibited read nothing of a record but its GPT id and Action ids, so
+  once the classification exists they fold the party index's ``(gpt
+  id, action id)`` embeddings;
 * **policy-record map** — one task per policy shard: duplicate analysis
   profiles each document shard-locally (MinHash signatures included — see
   :class:`~repro.policy.duplicates.PolicyProfileAccumulator`) and the
@@ -20,11 +25,15 @@ no parse per pass:
   :class:`~repro.analysis.disclosure.DisclosureAccumulator` and returning
   them beside it, so the coordinator assembles the policy report without
   running the framework again;
-* **description-extraction map** — one task per GPT shard collects each
+* **description-extraction map** — its own pass, run only when
+  classification is requested: one task per GPT shard collects each
   Action's data descriptions keyed by ``(gpt order key, action
   position)``; the reduce reconstructs the exact global description list
   (first-occurrence order over the discovery-ordered corpus) without
-  materializing the corpus;
+  materializing the corpus.  It stays out of the GPT-record map because
+  there the description rows would live as long as the runner, through
+  the policy passes, and raise the peak memory of workloads that never
+  classify;
 * **classification map** — the global description list is classified in
   batch-aligned chunks (:data:`CLASSIFY_CHUNK_BATCHES`); the classifier's
   fixed inputs (taxonomy, LLM, few-shot store, config) are broadcast to
@@ -50,7 +59,9 @@ it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.collection import CollectionAccumulator
 from repro.analysis.cooccurrence import CooccurrenceAccumulator
@@ -105,14 +116,19 @@ STREAMABLE_ANALYSES = (
     CORPUS_STREAM_ANALYSES + CLASSIFIED_STREAM_ANALYSES + POLICY_STREAM_ANALYSES
 )
 
+#: Analyses that :meth:`ShardAnalysisRunner.run` computes only with a
+#: classification result.
+NEEDS_CLASSIFICATION = CLASSIFIED_STREAM_ANALYSES + ("disclosure",)
+
 
 class ActionCatalogAccumulator:
     """Streaming Action registry: id → (policy URL, API domain, title).
 
     The compact join key between GPT shards (where Actions live) and policy
-    shards (where their documents live).  Memory is O(#distinct Actions);
-    duplicate embeddings of an Action carry identical specifications, so
-    first-write-wins merging is order-insensitive.
+    shards (where their documents live), built by the runner's one
+    GPT-record pass and kept for its policy passes.  Memory is
+    O(#distinct Actions); duplicate embeddings of an Action carry identical
+    specifications, so first-write-wins merging is order-insensitive.
     """
 
     def __init__(self) -> None:
@@ -131,42 +147,17 @@ class ActionCatalogAccumulator:
             self.actions.setdefault(action_id, row)
 
 
-def _accumulator_factories(
-    names: Sequence[str],
-    collected: Optional[Mapping[str, List[Tuple[str, str]]]],
-    offending: Optional[Mapping[str, List[Tuple[str, str]]]],
-    include_party: bool = True,
-) -> Dict[str, Callable[[], object]]:
-    """Per-shard accumulator factories for the requested GPT-record analyses.
-
-    The party accumulator rides along whenever any analysis needs the
-    first-/third-party rollup; the Action catalog rides along for the policy
-    analyses.  ``collected`` / ``offending`` are the classification rollups,
-    passed as plain mappings so the factory set can be rebuilt inside a
-    process-pool worker from a picklable payload.
-    """
-    factories: Dict[str, Callable[[], object]] = {}
-    if include_party and {"tool_usage", "collection", "prevalence", "party"} & set(names):
-        factories["party"] = ActionPartyAccumulator
-    if "crawl_stats" in names:
-        factories["crawl_stats"] = CrawlStatsAccumulator
-    if "tool_usage" in names:
-        factories["tool_usage"] = ToolUsageAccumulator
-    if "multi_action" in names:
-        factories["multi_action"] = MultiActionAccumulator
-    if "cooccurrence" in names:
-        factories["cooccurrence"] = CooccurrenceAccumulator
-    if "action_catalog" in names:
-        factories["action_catalog"] = ActionCatalogAccumulator
-    if collected is not None:
-        if "collection" in names:
-            factories["collection"] = lambda: CollectionAccumulator(collected)
-        if "prohibited" in names:
-            factories["prohibited"] = lambda: ProhibitedAccumulator(offending, collected)
-        if "prevalence" in names:
-            factories["prevalence"] = PrevalenceAccumulator
-    return factories
-
+#: The GPT-record map's fixed accumulator table: everything that reads GPT
+#: records, except description extraction, folds here in one pass.
+_GPT_PASS_ACCUMULATORS = (
+    ("party", ActionPartyAccumulator),
+    ("action_catalog", ActionCatalogAccumulator),
+    ("crawl_stats", CrawlStatsAccumulator),
+    ("tool_usage", ToolUsageAccumulator),
+    ("multi_action", MultiActionAccumulator),
+    ("cooccurrence", CooccurrenceAccumulator),
+    ("prevalence", PrevalenceAccumulator),
+)
 
 #: Broadcast keys for the three map passes' shared inputs (see
 #: :class:`~repro.exec.WorkerPool`): tasks carry only their shard index or
@@ -177,21 +168,30 @@ STREAM_CLASSIFY_KEY = "stream/classify-pass"
 
 
 def _map_gpt_shard(index: int) -> Dict[str, object]:
-    """Fold one GPT shard's record stream through fresh accumulators.
+    """Fold one GPT shard's record stream through the fixed accumulator table.
 
-    The pass's inputs (source, analysis names, classification rollups)
-    are the :data:`STREAM_GPT_KEY` broadcast; the returned accumulators
-    pickle, so the task runs the same in a process worker as in-process.
+    The source is the :data:`STREAM_GPT_KEY` broadcast; the returned
+    accumulators pickle, so the task runs the same in a process worker as
+    in-process.
     """
-    spec = shared_state(STREAM_GPT_KEY)
-    factories = _accumulator_factories(
-        spec["names"], spec["collected"], spec["offending"], spec["include_party"]
-    )
-    accumulators = {name: factory() for name, factory in factories.items()}
-    for gpt in spec["source"].iter_shard(index):
+    accumulators = {name: factory() for name, factory in _GPT_PASS_ACCUMULATORS}
+    for gpt in shared_state(STREAM_GPT_KEY).iter_shard(index):
         for accumulator in accumulators.values():
             accumulator.update(gpt)
     return accumulators
+
+
+def _fold_embeddings(accumulator, party_index: ActionPartyIndex):
+    """Fold each Action-embedding GPT's ``(gpt id, action ids)`` into ``accumulator``.
+
+    ``ActionPartyIndex.finalize`` key-sorts ``embedding_party``, so each
+    GPT's embeddings are adjacent, and grouping them gives the projection
+    of every record that the ``analyze_*`` oracles fold — without reading a
+    record.
+    """
+    for gpt_id, keys in groupby(party_index.embedding_party, key=itemgetter(0)):
+        accumulator.update(gpt_id, [action_id for _, action_id in keys])
+    return accumulator
 
 
 def _map_policy_shard(index: int) -> Dict[str, object]:
@@ -332,6 +332,11 @@ def _classify_chunk(chunk: Sequence[DataDescription]) -> List[DescriptionLabel]:
 class ShardAnalysisRunner:
     """Runs streaming analyses shard-parallel on a :class:`~repro.exec.WorkerPool`.
 
+    A runner reads the source's GPT records once: the first :meth:`run`
+    folds them into every analysis that needs no classification, the
+    party index, the Action catalog and the prevalence counts, and later
+    calls reuse those.  Every :meth:`run` result carries ``"party"``.
+
     Parameters
     ----------
     source:
@@ -351,10 +356,10 @@ class ShardAnalysisRunner:
         manager, to release a process pool's workers; a closed process
         runner cannot run again); a ``WorkerPool`` reuses the
         caller's warm workers across analysis passes and is never closed
-        here.  Each map pass broadcasts its inputs (classification
-        rollups, the URL → Actions join, the classifier) to the pool, so
-        per-task pickles carry a shard index instead; on a process pool a
-        pass whose payload changed restarts the workers once rather than
+        here.  Each map pass broadcasts its inputs (the source, the
+        URL → Actions join, the classifier) to the pool, so per-task
+        pickles carry a shard index instead; on a process pool a pass
+        whose payload changed restarts the workers once rather than
         re-shipping per task.
     """
 
@@ -366,6 +371,10 @@ class ShardAnalysisRunner:
     ) -> None:
         self.source = source
         self.workers = workers
+        #: The GPT-record pass's output (see :meth:`_corpus_pass`).
+        self._corpus: Optional[
+            Tuple[Dict[str, object], ActionCatalogAccumulator, PrevalenceAccumulator]
+        ] = None
         self._owned_pool: Optional[WorkerPool] = None
         if isinstance(backend, WorkerPool):
             self.pool = backend
@@ -406,6 +415,39 @@ class ShardAnalysisRunner:
                 else:
                     merged[name].merge(accumulator)
         return merged
+
+    def _corpus_pass(
+        self,
+    ) -> Tuple[Dict[str, object], ActionCatalogAccumulator, PrevalenceAccumulator]:
+        """The runner's one GPT-record pass, run on first use and then cached.
+
+        Returns the finalized analyses that need no classification (with
+        ``"party"``), the Action catalog and the prevalence counts.  The
+        other merged accumulators are dropped here, so none outlives the
+        pass.
+        """
+        if self._corpus is None:
+            self.pool.broadcast(STREAM_GPT_KEY, self.source)
+            merged = self._run_merge(
+                [
+                    ExecTask(key=f"shard-{index:05d}", fn=_map_gpt_shard, args=(index,))
+                    for index in range(self.source.n_shards)
+                ]
+            )
+            party = merged["party"].finalize()
+            analyses = {
+                "party": party,
+                "crawl_stats": merged["crawl_stats"].finalize(
+                    store_counts=self.source.store_counts,
+                    unresolved_gpt_ids=self.source.unresolved_gpt_ids,
+                    available_policy_urls=self.source.available_policy_urls(),
+                ),
+                "tool_usage": merged["tool_usage"].finalize(party),
+                "multi_action": merged["multi_action"].finalize(),
+                "cooccurrence": merged["cooccurrence"].finalize(),
+            }
+            self._corpus = (analyses, merged["action_catalog"], merged["prevalence"])
+        return self._corpus
 
     def extract_descriptions(self) -> List[DataDescription]:
         """Extract every data description, shard-parallel, in global order.
@@ -513,24 +555,21 @@ class ShardAnalysisRunner:
         names: Optional[Sequence[str]] = None,
         classification: Optional[ClassificationResult] = None,
         taxonomy: Optional[DataTaxonomy] = None,
-        party_index: Optional[ActionPartyIndex] = None,
         llm: Optional[object] = None,
         single_pass_policy: bool = False,
         near_duplicate_method: str = "auto",
-        action_catalog: Optional[ActionCatalogAccumulator] = None,
     ) -> Dict[str, object]:
-        """Compute the requested analyses in one pass per record kind.
+        """Compute the requested analyses from the runner's one GPT-record pass.
 
-        GPT-record analyses (and the Action catalog, when a policy analysis
-        needs it) share a single pass over the GPT shards; ``disclosure``
-        and ``policy_duplicates`` then share a single pass over the policy
-        shards.  Returns analysis objects keyed by name (plus ``"party"``
-        whenever a party rollup was built or supplied,
-        ``"action_catalog"`` whenever one was built or passed in — hand it
-        back via ``action_catalog`` on a later call to skip re-scanning the
-        GPT shards — and ``"policy_report"``, the
-        :class:`~repro.policy.framework.PolicyConsistencyReport`, with
-        ``disclosure``).  Requesting a classification-dependent analysis
+        The first call reads the GPT shards (:meth:`_corpus_pass`); no
+        later call reads a GPT record.  Collection and prohibited fold the
+        party index's embeddings, and ``disclosure`` and
+        ``policy_duplicates`` share one pass over the policy shards.
+        Returns analysis objects keyed by name, plus ``"party"`` (the
+        :class:`~repro.analysis.party.ActionPartyIndex`) always and
+        ``"policy_report"`` (the
+        :class:`~repro.policy.framework.PolicyConsistencyReport`) with
+        ``disclosure``.  Requesting a classification-dependent analysis
         without ``classification`` — or ``disclosure`` without
         ``llm``/``taxonomy`` — raises.
         """
@@ -538,10 +577,7 @@ class ShardAnalysisRunner:
         unknown = [name for name in requested if name not in STREAMABLE_ANALYSES + ("party",)]
         if unknown:
             raise ValueError(f"unknown streaming analyses: {', '.join(sorted(unknown))}")
-        needs_classification = [
-            name for name in requested
-            if name in CLASSIFIED_STREAM_ANALYSES or name == "disclosure"
-        ]
+        needs_classification = [name for name in requested if name in NEEDS_CLASSIFICATION]
         if needs_classification and classification is None:
             raise ValueError(
                 "classification required for: " + ", ".join(sorted(needs_classification))
@@ -549,136 +585,20 @@ class ShardAnalysisRunner:
         if "disclosure" in requested and (llm is None or taxonomy is None):
             raise ValueError("disclosure requires an llm and a taxonomy")
 
-        policy_names = [name for name in requested if name in POLICY_STREAM_ANALYSES]
-        gpt_names = [name for name in requested if name not in POLICY_STREAM_ANALYSES]
-        factory_names = list(gpt_names)
-        if policy_names and action_catalog is None:
-            factory_names.append("action_catalog")
-
-        collected = None
-        offending = None
-        if classification is not None:
-            collected = classification.action_data_types()
-            if "prohibited" in requested:
-                offending = find_offending_actions(classification, taxonomy)
-        include_party = party_index is None
-
-        # GPT-record map: one task per shard, fanned out on the pool.
-        merged: Dict[str, object] = {}
-        if _accumulator_factories(factory_names, collected, offending, include_party):
-            self.pool.broadcast(
-                STREAM_GPT_KEY,
-                {
-                    "source": self.source,
-                    "names": tuple(factory_names),
-                    "collected": collected,
-                    "offending": offending,
-                    "include_party": include_party,
-                },
-            )
-            merged = self._run_merge(
-                [
-                    ExecTask(key=f"shard-{index:05d}", fn=_map_gpt_shard, args=(index,))
-                    for index in range(self.source.n_shards)
-                ]
-            )
-        catalog: Optional[ActionCatalogAccumulator] = (
-            merged.pop("action_catalog", None) or action_catalog
-        )
-
-        # Policy-record map: duplicates profile + disclosure framework run.
-        if policy_names:
-            disclosure_specs: Optional[List[Dict[str, object]]] = None
-            if "disclosure" in policy_names:
-                # Shard-slice the URL → Actions join so each task carries
-                # only the entries its policy shard can encounter.
-                url_actions: List[Dict[str, List]] = [
-                    {} for _ in range(self.source.n_shards)
-                ]
-                for action_id in catalog.actions:
-                    url, _domain, title = catalog.actions[action_id]
-                    collected_types = collected.get(action_id, [])
-                    if not url or not collected_types:
-                        continue
-                    shard = shard_index(url, self.source.n_shards)
-                    url_actions[shard].setdefault(url, []).append(
-                        (action_id, collected_types, title)
-                    )
-                disclosure_specs = [
-                    {
-                        "taxonomy": taxonomy,
-                        "llm": llm,
-                        "single_pass": single_pass_policy,
-                        "url_actions": url_actions[index],
-                    }
-                    for index in range(self.source.n_shards)
-                ]
-            self.pool.broadcast(
-                STREAM_POLICY_KEY,
-                {
-                    "source": self.source,
-                    "want_duplicates": "policy_duplicates" in policy_names,
-                    "disclosure_specs": disclosure_specs,
-                },
-            )
-            merged.update(
-                self._run_merge(
-                    [
-                        ExecTask(
-                            key=f"policies-{index:05d}", fn=_map_policy_shard, args=(index,)
-                        )
-                        for index in range(self.source.n_shards)
-                    ]
-                )
-            )
-
-        # Finalize with the shared corpus-level context.
-        results: Dict[str, object] = {}
-        if party_index is None and "party" in merged:
-            party_index = merged["party"].finalize()
-        if party_index is not None:
-            results["party"] = party_index
-        if catalog is not None:
-            results["action_catalog"] = catalog
-        if "crawl_stats" in merged:
-            results["crawl_stats"] = merged["crawl_stats"].finalize(
-                store_counts=self.source.store_counts,
-                unresolved_gpt_ids=self.source.unresolved_gpt_ids,
-                available_policy_urls=self.source.available_policy_urls(),
-            )
-        if "tool_usage" in merged:
-            results["tool_usage"] = merged["tool_usage"].finalize(party_index)
-        if "multi_action" in merged:
-            results["multi_action"] = merged["multi_action"].finalize()
-        if "cooccurrence" in merged:
-            results["cooccurrence"] = merged["cooccurrence"].finalize()
-        if "collection" in merged:
-            results["collection"] = merged["collection"].finalize(party_index)
-        if "prohibited" in merged:
-            results["prohibited"] = merged["prohibited"].finalize()
-        if "prevalence" in merged:
-            results["prevalence"] = merged["prevalence"].finalize(classification, party_index)
-        if "disclosure" in merged:
-            results["disclosure"] = merged["disclosure"].finalize()
-            results["policy_report"] = _policy_report(
-                collected, catalog, merged["policy_analyses"]
-            )
-        if "policy_duplicates" in merged:
-            action_policy_urls = {
-                action_id: row[0]
-                for action_id, row in catalog.actions.items()
-                if row[0]
-            }
-            action_domains = {
-                action_id: row[1] for action_id, row in catalog.actions.items()
-            }
-            results["policy_duplicates"] = finalize_duplicate_report(
-                action_policy_urls,
-                action_domains,
-                merged["policy_duplicates"].profiles,
-                self._fetch_normalized_texts,
-                near_duplicate_method=near_duplicate_method,
-            )
+        corpus, catalog, prevalence = self._corpus_pass()
+        party = corpus["party"]
+        results = {name: corpus[name] for name in requested if name in corpus}
+        results["party"] = party
+        collected = classification.action_data_types() if classification is not None else None
+        if "collection" in requested:
+            collection = _fold_embeddings(CollectionAccumulator(collected), party)
+            results["collection"] = collection.finalize(party)
+        if "prohibited" in requested:
+            offending = find_offending_actions(classification, taxonomy)
+            prohibited = _fold_embeddings(ProhibitedAccumulator(offending, collected), party)
+            results["prohibited"] = prohibited.finalize()
+        if "prevalence" in requested:
+            results["prevalence"] = prevalence.finalize(classification, party)
         if "coverage" in requested:
             # Coverage streams classification labels, not GPT records; fold
             # it inline (the accumulator still supports chunked merging).
@@ -686,4 +606,62 @@ class ShardAnalysisRunner:
             for label in classification.labels:
                 coverage.update(label)
             results["coverage"] = coverage.finalize()
+
+        # Policy-record map: duplicates profile + disclosure framework run.
+        policy_names = [name for name in requested if name in POLICY_STREAM_ANALYSES]
+        if not policy_names:
+            return results
+        disclosure_specs: Optional[List[Dict[str, object]]] = None
+        if "disclosure" in policy_names:
+            # Shard-slice the URL → Actions join so each task carries only
+            # the entries its policy shard can encounter.
+            url_actions: List[Dict[str, List]] = [{} for _ in range(self.source.n_shards)]
+            for action_id, (url, _domain, title) in catalog.actions.items():
+                collected_types = collected.get(action_id, [])
+                if not url or not collected_types:
+                    continue
+                shard = shard_index(url, self.source.n_shards)
+                url_actions[shard].setdefault(url, []).append(
+                    (action_id, collected_types, title)
+                )
+            disclosure_specs = [
+                {
+                    "taxonomy": taxonomy,
+                    "llm": llm,
+                    "single_pass": single_pass_policy,
+                    "url_actions": url_actions[index],
+                }
+                for index in range(self.source.n_shards)
+            ]
+        self.pool.broadcast(
+            STREAM_POLICY_KEY,
+            {
+                "source": self.source,
+                "want_duplicates": "policy_duplicates" in policy_names,
+                "disclosure_specs": disclosure_specs,
+            },
+        )
+        merged = self._run_merge(
+            [
+                ExecTask(key=f"policies-{index:05d}", fn=_map_policy_shard, args=(index,))
+                for index in range(self.source.n_shards)
+            ]
+        )
+        if "disclosure" in merged:
+            results["disclosure"] = merged["disclosure"].finalize()
+            results["policy_report"] = _policy_report(
+                collected, catalog, merged["policy_analyses"]
+            )
+        if "policy_duplicates" in merged:
+            action_policy_urls = {
+                action_id: row[0] for action_id, row in catalog.actions.items() if row[0]
+            }
+            action_domains = {action_id: row[1] for action_id, row in catalog.actions.items()}
+            results["policy_duplicates"] = finalize_duplicate_report(
+                action_policy_urls,
+                action_domains,
+                merged["policy_duplicates"].profiles,
+                self._fetch_normalized_texts,
+                near_duplicate_method=near_duplicate_method,
+            )
         return results

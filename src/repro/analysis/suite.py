@@ -21,7 +21,7 @@ from repro.analysis.multiaction import MultiActionAnalysis
 from repro.analysis.party import ActionPartyIndex
 from repro.analysis.prevalence import PrevalenceAnalysis
 from repro.analysis.prohibited import ProhibitedDataAnalysis
-from repro.analysis.streaming import ShardAnalysisRunner
+from repro.analysis.streaming import NEEDS_CLASSIFICATION, ShardAnalysisRunner
 from repro.analysis.tools import ToolUsageAnalysis
 from repro.classification.classifier import ClassifierConfig
 from repro.classification.descriptions import (
@@ -226,8 +226,8 @@ class MeasurementSuite:
         self._descriptions: Optional[List[DataDescription]] = None
         self._fewshot_store: Optional[FewShotStore] = None
         self._classification: Optional[ClassificationResult] = classification
-        self._policy_report: Optional[PolicyConsistencyReport] = None
-        self._party_index: Optional[ActionPartyIndex] = None
+        #: Analyses by name, plus the ``"party"`` index and the
+        #: ``"policy_report"`` that runner results carry beside them.
         self._cache: Dict[str, object] = {}
         self._shard_store = None
         self._shard_tempdir = None
@@ -238,10 +238,8 @@ class MeasurementSuite:
         #: from the sharded crawl through every analysis pass (see
         #: _execution_backend); released by close().
         self._exec_pool: Optional[WorkerPool] = None
-        #: Action → (policy URL, domain, title) registry reused across
-        #: streamed policy-analysis passes (one GPT-shard scan, not one per
-        #: analysis group).
-        self._action_catalog = None
+        #: The one analysis runner on ``corpus_source`` (see _shard_runner).
+        self._runner: Optional[ShardAnalysisRunner] = None
         #: Per-epoch change feeds (:class:`~repro.ecosystem.evolution.EpochDelta`)
         #: from evolving the generated ecosystem to ``config.epoch``; empty
         #: at epoch 0 or when the ecosystem was supplied pre-built.
@@ -304,9 +302,11 @@ class MeasurementSuite:
     def close(self) -> None:
         """Release the suite's warm worker pool (idempotent).
 
-        Cached stages and analyses stay usable; a later sharded access
-        simply builds a fresh pool.
+        Cached stages and analyses stay usable.  The analysis runner
+        borrowed the pool, so it goes too: a later uncached analysis builds
+        a fresh runner (on a fresh pool), which reads the corpus again.
         """
+        self._runner = None
         if self._exec_pool is not None:
             self._exec_pool.close()
 
@@ -467,51 +467,22 @@ class MeasurementSuite:
         )
         self._shard_store = store
         self._crawl_statistics = pipeline.statistics
+        self._runner = None  # it read the replaced store
         return store
 
-    def _stream_runner(self) -> ShardAnalysisRunner:
-        """A shard-analysis runner on the suite's corpus source and pool."""
-        return ShardAnalysisRunner(
-            self.corpus_source,
-            workers=self.config.shard_workers,
-            backend=self._execution_backend(),
-        )
+    def _shard_runner(self) -> ShardAnalysisRunner:
+        """The suite's one analysis runner on its corpus source and pool.
 
-    def _streamed(self, names: List[str]) -> None:
-        """Compute streamed analyses shard-parallel and prime the cache.
-
-        Analyses are grouped so a corpus-only request never forces the
-        classification stage (and ``policy_duplicates`` never forces it
-        either); everything requested lands in ``_cache`` /
-        ``_party_index`` in one pass per record kind over the shards.
+        Built on first use; it reads the GPT records once for every
+        analysis (see :class:`~repro.analysis.streaming.ShardAnalysisRunner`).
         """
-        classification = None
-        if any(
-            name in ("collection", "coverage", "prohibited", "prevalence", "disclosure")
-            for name in names
-        ):
-            classification = self.classification
-        runner = self._stream_runner()
-        results = runner.run(
-            names,
-            classification=classification,
-            taxonomy=self.taxonomy,
-            party_index=self._party_index,
-            llm=self.llm,
-            single_pass_policy=self.config.single_pass_policy,
-            near_duplicate_method=self.config.near_duplicate_method,
-            action_catalog=self._action_catalog,
-        )
-        party = results.pop("party", None)
-        if party is not None and self._party_index is None:
-            self._party_index = party
-        catalog = results.pop("action_catalog", None)
-        if catalog is not None and self._action_catalog is None:
-            self._action_catalog = catalog
-        report = results.pop("policy_report", None)
-        if report is not None and self._policy_report is None:
-            self._policy_report = report
-        self._cache.update(results)
+        if self._runner is None:
+            self._runner = ShardAnalysisRunner(
+                self.corpus_source,
+                workers=self.config.shard_workers,
+                backend=self._execution_backend(),
+            )
+        return self._runner
 
     @property
     def descriptions(self) -> List[DataDescription]:
@@ -522,7 +493,7 @@ class MeasurementSuite:
         discovery-ordered corpus exactly — no corpus materialization.
         """
         if self._descriptions is None:
-            self._descriptions = self._stream_runner().extract_descriptions()
+            self._descriptions = self._shard_runner().extract_descriptions()
         return self._descriptions
 
     @property
@@ -559,7 +530,7 @@ class MeasurementSuite:
         ``classify_many`` pass at any worker count or backend.
         """
         if self._classification is None:
-            self._classification = self._stream_runner().classify(
+            self._classification = self._shard_runner().classify(
                 taxonomy=self.taxonomy,
                 llm=self.llm,
                 fewshot_store=self.fewshot_store,
@@ -576,43 +547,40 @@ class MeasurementSuite:
         framework per policy shard, so the framework runs once and the
         corpus is never materialized.
         """
-        if self._policy_report is None:
-            self.disclosure  # the streamed pass sets _policy_report
-        return self._policy_report
+        self.disclosure  # the disclosure pass caches the report beside it
+        return self._cache["policy_report"]  # type: ignore[return-value]
 
     @property
     def party_index(self) -> ActionPartyIndex:
         """First-/third-party attribution of Actions."""
-        if self._party_index is None:
-            self._streamed(["party"])
-        return self._party_index
+        return self._cached("party")  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Analyses (lazy, cached)
     # ------------------------------------------------------------------
-    #: Streamable analyses grouped by what they force: corpus-only requests
-    #: (including policy duplicates, which stream policy records alone)
-    #: must never trigger the classification stage; disclosure runs the
-    #: policy framework per shard and needs the classification + LLM.
-    _CORPUS_STREAM_GROUP = ("crawl_stats", "tool_usage", "multi_action", "cooccurrence")
-    _CLASSIFIED_STREAM_GROUP = ("collection", "coverage", "prohibited", "prevalence")
-
     def _cached(self, key: str) -> object:
+        """One analysis by name, from the suite's runner on first request.
+
+        Only an analysis that needs the classification forces that stage,
+        so a corpus-only request never classifies, and neither does
+        ``policy_duplicates`` alone.  ``disclosure`` also asks for
+        ``policy_duplicates``, which shares its pass over the policy
+        shards.  Everything a run returns lands in the cache.
+        """
         if key not in self._cache:
-            if key in self._CORPUS_STREAM_GROUP:
-                # One shard-parallel pass computes the whole group.
-                self._streamed(list(self._CORPUS_STREAM_GROUP))
-            elif key in self._CLASSIFIED_STREAM_GROUP:
-                self._streamed(list(self._CLASSIFIED_STREAM_GROUP))
-            else:
-                # Disclosure already forces the classification stage, so
-                # the duplicates analysis rides its policy-shard pass for
-                # free; a duplicates-only request streams alone and keeps
-                # the corpus-only principle (no classification forced).
-                names = [key]
-                if key == "disclosure" and "policy_duplicates" not in self._cache:
-                    names.append("policy_duplicates")
-                self._streamed(names)
+            names = [key]
+            if key == "disclosure" and "policy_duplicates" not in self._cache:
+                names.append("policy_duplicates")
+            results = self._shard_runner().run(
+                names,
+                classification=self.classification if key in NEEDS_CLASSIFICATION else None,
+                taxonomy=self.taxonomy,
+                llm=self.llm,
+                single_pass_policy=self.config.single_pass_policy,
+                near_duplicate_method=self.config.near_duplicate_method,
+            )
+            for name, value in results.items():
+                self._cache.setdefault(name, value)
         return self._cache[key]
 
     @property

@@ -317,6 +317,15 @@ class ShardManifest:
     epoch: int = 0
     parent_fingerprint: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # One key order per store: the shard-partitioned crawl accumulates
+        # these maps in partition-completion order, the unsharded path in
+        # corpus order.  Key-sorting them here makes the store a writer
+        # returns, the same store reopened, and ``manifest.json`` (hence
+        # the store fingerprint) agree.
+        self.store_counts = dict(sorted(self.store_counts.items()))
+        self.store_link_counts = dict(sorted(self.store_link_counts.items()))
+
     @property
     def supports_discovery_order(self) -> bool:
         """Whether GPT records carry a global discovery index (schema >= 2)."""
@@ -355,12 +364,8 @@ class ShardManifest:
                 {"name": info.name, "n_records": info.n_records, "fingerprint": info.fingerprint}
                 for info in self.policy_shards
             ],
-            # Key-sorted so the manifest bytes (and the store fingerprint)
-            # do not depend on record-arrival order: the shard-partitioned
-            # crawl accumulates these maps in shard-completion order, the
-            # unsharded path in corpus order.
-            "store_counts": dict(sorted(self.store_counts.items())),
-            "store_link_counts": dict(sorted(self.store_link_counts.items())),
+            "store_counts": self.store_counts,
+            "store_link_counts": self.store_link_counts,
             "unresolved_gpt_ids": self.unresolved_gpt_ids,
         }
         if self.schema >= 3:
@@ -608,8 +613,8 @@ class ShardedCorpusWriter:
             n_shards=self.n_shards,
             gpt_shards=[shard.promote() for shard in self._gpt_shards],
             policy_shards=[shard.promote() for shard in self._policy_shards],
-            store_counts=dict(self.store_counts),
-            store_link_counts=dict(self.store_link_counts),
+            store_counts=self.store_counts,
+            store_link_counts=self.store_link_counts,
             unresolved_gpt_ids=list(self.unresolved_gpt_ids),
             epoch=self.epoch,
             parent_fingerprint=self.parent_fingerprint,

@@ -10,6 +10,7 @@ and everything it computes equals what they compute from ``suite.corpus``.
 
 import importlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -25,10 +26,13 @@ from repro.analysis import (
     analyze_tool_usage,
     build_party_index,
 )
+from repro.analysis.streaming import STREAMABLE_ANALYSES, ShardAnalysisRunner
 from repro.analysis.suite import MeasurementSuite, SuiteConfig
 from repro.classification.classifier import DataCollectionClassifier
 from repro.classification.descriptions import extract_descriptions
+from repro.crawler.corpus import CrawlCorpus
 from repro.experiments.registry import EXPERIMENTS, run_all_experiments
+from repro.io.shards import ShardedCorpusStore
 from repro.policy.duplicates import analyze_policy_corpus
 from repro.policy.framework import PrivacyPolicyAnalyzer
 
@@ -134,3 +138,80 @@ class TestSuiteEqualsInMemoryOracles:
         assert suite.policy_duplicates == analyze_policy_corpus(
             suite.corpus, near_duplicate_method=suite.config.near_duplicate_method
         )
+
+
+# ---------------------------------------------------------------------------
+# One GPT-record pass: how often each GPT shard is opened
+# ---------------------------------------------------------------------------
+#: The two ways a runner reads GPT records: the analyses' pass and
+#: description extraction.
+GPT_ITERATORS = ("iter_shard", "iter_shard_gpts_indexed")
+
+#: The corpus-only sequence of an epoch re-crawl (``perfbench`` epoch_recrawl).
+CORPUS_ONLY_SEQUENCE = (
+    "crawl_stats",
+    "tool_usage",
+    "multi_action",
+    "cooccurrence",
+    "policy_duplicates",
+)
+
+
+@pytest.fixture
+def gpt_reads(monkeypatch):
+    """Count every GPT-shard open, by ``(iterator, shard)``, on both sources."""
+    reads = Counter()
+    for source_class in (CrawlCorpus, ShardedCorpusStore):
+        for name in GPT_ITERATORS:
+            original = getattr(source_class, name)
+
+            def counting(self, index, _original=original, _name=name):
+                reads[_name, index] += 1
+                return _original(self, index)
+
+            monkeypatch.setattr(source_class, name, counting)
+    return reads
+
+
+def _golden_suite(shards, tmp_path):
+    shard_dir = str(tmp_path / "store") if shards else None
+    return MeasurementSuite(
+        config=SuiteConfig(n_gpts=N_GPTS, seed=SEED, shards=shards, shard_dir=shard_dir)
+    )
+
+
+@pytest.mark.parametrize("shards", [0, 3])
+def test_full_run_opens_each_gpt_shard_once_per_iterator(gpt_reads, shards, tmp_path):
+    """``run_all()`` and every experiment: one analysis pass and one
+    extraction pass over each GPT shard, nothing more."""
+    suite = _golden_suite(shards, tmp_path)
+    suite.run_all()
+    run_all_experiments(suite)
+    assert dict(gpt_reads) == {
+        (name, index): 1 for name in GPT_ITERATORS for index in range(max(1, shards))
+    }
+
+
+@pytest.mark.parametrize("shards", [0, 3])
+def test_corpus_only_sequence_opens_each_gpt_shard_once(gpt_reads, shards, tmp_path):
+    """The corpus analyses and ``policy_duplicates`` share the one analysis
+    pass, never extract descriptions and never force classification."""
+    suite = _golden_suite(shards, tmp_path)
+    for name in CORPUS_ONLY_SEQUENCE:
+        getattr(suite, name)
+    assert dict(gpt_reads) == {("iter_shard", index): 1 for index in range(max(1, shards))}
+    assert not suite.stage_materialized("classification")
+
+
+def test_second_run_reads_no_gpt_record(suite, gpt_reads):
+    runner = ShardAnalysisRunner(suite.corpus_source)
+    inputs = dict(classification=suite.classification, taxonomy=suite.taxonomy, llm=suite.llm)
+    first = runner.run(STREAMABLE_ANALYSES, **inputs)
+    assert dict(gpt_reads) == {("iter_shard", 0): 1}
+    second = runner.run(STREAMABLE_ANALYSES, **inputs)
+    assert dict(gpt_reads) == {("iter_shard", 0): 1}
+    for name in STREAMABLE_ANALYSES + ("party",):
+        assert second[name] == first[name], name
+    assert list(second["policy_report"].analyses.items()) == list(
+        first["policy_report"].analyses.items()
+    )

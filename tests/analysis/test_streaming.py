@@ -62,14 +62,29 @@ def classification(small_corpus, taxonomy, simulated_llm):
     return suite.classification
 
 
-def _chunked_merge(accumulators, items):
-    """Accumulate items split over several accumulators, then merge."""
+def _chunked_merge(accumulators, items, unpack=False):
+    """Accumulate items split over several accumulators, then merge.
+
+    With ``unpack``, each item is a row of ``update`` arguments.
+    """
     for index, item in enumerate(items):
-        accumulators[index % len(accumulators)].update(item)
+        accumulator = accumulators[index % len(accumulators)]
+        if unpack:
+            accumulator.update(*item)
+        else:
+            accumulator.update(item)
     first = accumulators[0]
     for other in accumulators[1:]:
         first.merge(other)
     return first
+
+
+def _embedding_rows(corpus):
+    """Each GPT's ``(gpt id, action ids)``: what collection and prohibited fold."""
+    return [
+        (gpt.gpt_id, [action.action_id for action in gpt.actions])
+        for gpt in corpus.iter_gpts()
+    ]
 
 
 class TestAccumulatorMergeEquivalence:
@@ -123,7 +138,9 @@ class TestAccumulatorMergeEquivalence:
         party = build_party_index(small_corpus)
         collected = classification.action_data_types()
         merged = _chunked_merge(
-            [CollectionAccumulator(collected) for _ in range(3)], small_corpus.iter_gpts()
+            [CollectionAccumulator(collected) for _ in range(3)],
+            _embedding_rows(small_corpus),
+            unpack=True,
         )
         assert merged.finalize(party) == analyze_collection(
             small_corpus, classification, party
@@ -134,7 +151,8 @@ class TestAccumulatorMergeEquivalence:
         collected = classification.action_data_types()
         merged = _chunked_merge(
             [ProhibitedAccumulator(offending, collected) for _ in range(3)],
-            small_corpus.iter_gpts(),
+            _embedding_rows(small_corpus),
+            unpack=True,
         )
         assert merged.finalize() == analyze_prohibited(
             small_corpus, classification, taxonomy
@@ -203,13 +221,6 @@ class TestShardAnalysisRunner:
             else:
                 assert results["crawl_stats"] == baseline["crawl_stats"]
                 assert results["multi_action"] == baseline["multi_action"]
-
-    def test_supplied_party_index_is_reused(self, shard_store, small_corpus):
-        party = build_party_index(small_corpus)
-        with ShardAnalysisRunner(shard_store) as runner:
-            results = runner.run(["tool_usage"], party_index=party)
-        assert results["party"] is party
-        assert results["tool_usage"] == analyze_tool_usage(small_corpus, party)
 
     def test_unknown_analysis_rejected(self, shard_store):
         with ShardAnalysisRunner(shard_store) as runner:
@@ -428,7 +439,8 @@ class TestShardedSuite:
     def test_process_suite_shares_one_pool_crawl_through_analyses(self, tmp_path):
         """backend="process" gives the suite ONE warm pool spanning the
         sharded crawl and every streamed analysis pass, results identical to
-        the thread-backend suite; close() releases it idempotently."""
+        the thread-backend suite; close() releases it idempotently, and an
+        analysis first asked for after close() runs on a fresh pool."""
         from repro.analysis.suite import MeasurementSuite, SuiteConfig
 
         plain = MeasurementSuite(
@@ -447,3 +459,7 @@ class TestShardedSuite:
             assert first_stats == plain.crawl_stats
         assert pool._closed
         pooled.close()  # second close is a no-op
+        assert pooled.policy_duplicates == plain.policy_duplicates  # on a fresh pool
+        assert pooled._exec_pool is not pool and not pooled._exec_pool._closed
+        pooled.close()
+        assert pooled._exec_pool._closed

@@ -27,6 +27,7 @@ import pytest
 from repro.crawler.corpus import CrawlCorpus, CrawledGPT
 from repro.crawler.pipeline import CrawlPipeline
 from repro.io import corpus_to_payload
+from repro.io.shards import ShardedCorpusStore
 
 SEED = 11
 
@@ -99,5 +100,10 @@ def test_sharded_store_matches_oracle(small_ecosystem, oracle, tmp_path):
         tmp_path / "store"
     )
     # A store's manifest keeps its per-store counts key-sorted, so only
-    # their contents are compared.
+    # their contents are compared with the oracle's crawl order...
     _assert_matches_oracle(store.load_corpus(), oracle, count_order=False)
+    # ...and the store the crawl returns iterates them in the same order as
+    # that store reopened from disk.
+    reopened = ShardedCorpusStore(store.root)
+    assert list(store.store_counts) == list(reopened.store_counts)
+    assert list(store.manifest.store_link_counts) == list(reopened.manifest.store_link_counts)

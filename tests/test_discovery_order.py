@@ -19,6 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import (
+    analyze_crawl_stats,
+    analyze_multi_action,
+    analyze_tool_usage,
+    build_party_index,
+)
 from repro.analysis.streaming import ShardAnalysisRunner
 from repro.analysis.suite import MeasurementSuite, SuiteConfig
 from repro.classification.descriptions import extract_descriptions
@@ -178,6 +184,20 @@ class TestSchema1ReadCompat:
             next(store.iter_shard_gpts_indexed(0))
         with pytest.raises(ValueError, match="discovery ind"):
             next(store.iter_indexed_gpts())
+
+    def test_runner_corpus_analyses_read_legacy_store(self):
+        """The runner's GPT-record pass reads ``iter_shard``, which legacy
+        stores serve, so the corpus analyses work on them; only
+        description extraction needs discovery indices, and it says so."""
+        store = ShardedCorpusStore(FIXTURE_V1)
+        corpus = store.load_corpus()
+        with ShardAnalysisRunner(store) as runner:
+            results = runner.run(["crawl_stats", "tool_usage", "multi_action"])
+            with pytest.raises(RuntimeError, match="discovery ind"):
+                runner.extract_descriptions()
+        assert results["crawl_stats"] == analyze_crawl_stats(corpus)
+        assert results["tool_usage"] == analyze_tool_usage(corpus, build_party_index(corpus))
+        assert results["multi_action"] == analyze_multi_action(corpus)
 
 
 class TestOneCrawlMixedWorkload:
