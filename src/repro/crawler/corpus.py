@@ -9,8 +9,9 @@ inference steps the paper performs on live data.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.crawler.policy_fetcher import PolicyFetchResult
 from repro.web.urls import url_host

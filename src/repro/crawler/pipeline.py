@@ -821,6 +821,9 @@ class CrawlPipeline:
                     self.statistics.n_unresolved += 1
                     continue
             fetch_ids[shard].append(identifier)
+        # Only the partition reads the parent's id sets; free them before
+        # the resolve phase, whose fetched records raise the crawl's peak.
+        del parent_ids, parent_unresolved
 
         sink = open_sink()
         policy_urls: Set[str] = set()

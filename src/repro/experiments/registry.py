@@ -426,7 +426,15 @@ def run_policy_stats(suite: MeasurementSuite) -> ExperimentResult:
         "framework_precision": evaluation.precision,
         "framework_recall": evaluation.recall,
     }
-    return _result("policy_stats", "Section 5.1: policy corpus statistics", measured)
+    note = ""
+    if duplicates.n_untokenized:
+        # Reported only when non-zero, so reports on English corpora keep their bytes.
+        measured["untokenized_policies"] = duplicates.n_untokenized
+        note = (
+            f"{duplicates.n_untokenized} fetched policies have letters but no word "
+            "tokens; they were left out of the near-duplicate comparison."
+        )
+    return _result("policy_stats", "Section 5.1: policy corpus statistics", measured, note)
 
 
 def run_disclosure_headlines(suite: MeasurementSuite) -> ExperimentResult:

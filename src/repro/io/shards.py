@@ -264,20 +264,22 @@ def _scan_policy_urls(line: str) -> Optional[List[str]]:
         cursor = end
 
 
-def gpt_content_key(payload: Mapping[str, object]) -> str:
+def gpt_content_key(payload: Mapping[str, object]) -> bytes:
     """Content key of one GPT record payload.
 
-    The SHA-256 of its canonical JSON with the two epoch-local fields
-    normalized (``discovery_index`` 0, ``source_stores`` empty), so a
-    record that only moved in the frontier or between stores keeps its key.
+    The 32-byte SHA-256 digest of its canonical JSON with the two
+    epoch-local fields normalized (``discovery_index`` 0, ``source_stores``
+    empty), so a record that only moved in the frontier or between stores
+    keeps its key.  Keys are only compared for equality, so they are kept
+    as raw digests rather than hex strings.
     """
     normalized = dict(payload)
     normalized[DISCOVERY_INDEX_KEY] = 0
     normalized["source_stores"] = []
-    return hashlib.sha256(canonical_json(normalized).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(normalized).encode("utf-8")).digest()
 
 
-def gpt_line_content_key(line: str) -> str:
+def gpt_line_content_key(line: str) -> bytes:
     """:func:`gpt_content_key` of one GPT shard line, read from its bytes.
 
     The carry path's splice normalizes the two fields in place; a line it
@@ -287,7 +289,7 @@ def gpt_line_content_key(line: str) -> str:
     normalized = _restamp_carried_line(line, 0, "[]")
     if normalized is None:
         return gpt_content_key(json.loads(line))
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
+    return hashlib.sha256(normalized.encode("utf-8")).digest()
 
 
 @dataclass(frozen=True)
@@ -750,11 +752,12 @@ class ShardedCorpusStore:
             raise ValueError(f"unknown shard kind {kind!r} (want 'gpts' or 'policies')")
         return self._iter_lines(infos[index].name)
 
-    def iter_content_keys(self) -> Iterator[Tuple[str, str]]:
+    def iter_content_keys(self) -> Iterator[Tuple[str, bytes]]:
         """Stream every GPT record's ``(gpt_id, content key)``, shard-major.
 
-        Keys are read from the raw lines (:func:`gpt_line_content_key`), so
-        no record is parsed unless its line takes the slow path.
+        Keys are 32-byte digests read from the raw lines
+        (:func:`gpt_line_content_key`), so no record is parsed unless its
+        line takes the slow path.
         """
         for index in range(self.n_shards):
             for line in self.iter_shard_lines("gpts", index):

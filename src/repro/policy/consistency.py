@@ -8,8 +8,9 @@ label using the precedence rule.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.llm import prompts
 from repro.llm.base import LLMClient

@@ -22,7 +22,10 @@ materializing the corpus:
   pairs from the *union* of the shard-local signatures, and verifies each
   candidate with exact shingle Jaccard — re-reading only the candidate texts
   through a caller-supplied fetcher, so memory stays O(profiles), never
-  O(total policy text).
+  O(total policy text).  Verification interns each distinct shingle of the
+  candidate texts as a dense integer id and compares integer bitsets over
+  those ids (at most N·U/8 bytes for N texts and U distinct shingles), not
+  tuple sets; the Jaccard floats are the same.
 
 Every grouping and ranking is order-canonical (groups sort by their smallest
 member id, the triage samples each group's smallest member), so the
@@ -35,10 +38,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,12 +57,7 @@ from repro.nlp.minhash import (
     hash_token_shingles,
     lsh_supports_threshold,
 )
-from repro.nlp.similarity import (
-    DEFAULT_SHINGLE_K,
-    LSH_MIN_TEXTS,
-    _shingles_from_tokens,
-    jaccard_similarity,
-)
+from repro.nlp.similarity import DEFAULT_SHINGLE_K, LSH_MIN_TEXTS, _shingles_from_tokens
 from repro.nlp.tokenization import tokenize
 from repro.web.psl import registrable_domain
 from repro.web.urls import url_host
@@ -181,6 +180,9 @@ class PolicyTextProfile:
     signature: np.ndarray
     #: Whether the text tokenizes to anything (empty docs never band).
     has_tokens: bool
+    #: Whether the text has letters but no token (a script written without
+    #: spaces, such as Chinese): counted, since it cannot be compared.
+    untokenized: bool
     #: Text/URL-only content triage (``None`` = needs the Action domains).
     kind_partial: Optional[PolicyContentKind]
     policy_domain: Optional[str]
@@ -220,6 +222,7 @@ class PolicyProfileAccumulator:
                 hash_token_shingles(tokens, _SHINGLE_K, self._token_cache)
             ),
             has_tokens=bool(tokens),
+            untokenized=not tokens and any(char.isalpha() for char in normalized),
             kind_partial=classify_policy_text(result.url, result.text),
             policy_domain=registrable_domain(host) if host else None,
         )
@@ -246,6 +249,9 @@ class DuplicatePolicyReport:
     near_duplicate_share: float = 0.0
     #: Fraction of fetched policies shorter than 500 characters.
     short_share: float = 0.0
+    #: Fetched policies (per Action, like ``n_policies_fetched``) whose text
+    #: has letters but no word token, so near-duplicate detection skips them.
+    n_untokenized: int = 0
     #: Breakdown of what duplicated policies contain (Table 6).
     duplicate_content: Counter = field(default_factory=Counter)
     #: Groups of Action ids sharing an identical policy text.
@@ -271,10 +277,26 @@ def _near_duplicate_hashes(
     """Text hashes participating in at least one verified near-duplicate pair.
 
     Candidate pairs come either from the exact all-pairs scan (small inputs
-    or ``method="exact"``, mirroring ``near_duplicates``'s auto rule) or
-    from banding the shard-computed MinHash signatures; every candidate is
-    then verified with exact Jaccard over the real shingle sets, re-reading
-    only the candidate texts via ``fetch_normalized_texts(urls)``.
+    or ``method="exact"``, mirroring ``near_duplicates``'s auto rule), which
+    yields them lazily in nested-loop order, or from banding the
+    shard-computed MinHash signatures; every candidate is then verified
+    with exact Jaccard over the real shingle sets, re-reading only the
+    candidate texts via ``fetch_normalized_texts(urls)``.
+
+    The shingles are those of :func:`~repro.nlp.similarity.shingle_set`,
+    compared as bitsets: each distinct shingle of the candidate texts gets a
+    dense id in first-seen order (the intern table is dropped once the
+    bitsets are built), each text becomes a Python int with one bit per
+    shingle id plus its set size, and a pair's shared-shingle count is one
+    AND and a popcount.  ``shared / (size_a + size_b - shared)`` divides the
+    same integers as :func:`~repro.nlp.similarity.jaccard_similarity`, so
+    every float, and every verified pair, is the same.  The bitsets hold at
+    most N·U/8 bytes for N candidate texts over U distinct shingles (0.6 MB
+    on a 25,000-GPT store, where the tuple sets held ~13 MB).
+    :func:`~repro.nlp.similarity.near_duplicates` keeps the tuple sets: it
+    is the reference this verifier is tested against, and its LSH path is
+    benchmarked as a speed-up over its own exact scan, which a faster
+    per-pair verifier would shrink.
     """
     if method not in ("auto", "exact", "lsh"):
         raise ValueError(f"unknown method: {method!r}")
@@ -287,41 +309,45 @@ def _near_duplicate_hashes(
         or (method == "auto" and n_texts < _LSH_MIN_TEXTS)
         or not lsh_supports_threshold(threshold)
     )
+    candidates: Iterable[Tuple[int, int]]
     if use_exact:
-        candidates = {
-            (i, j)
-            for i in range(n_texts)
-            if active[i]
-            for j in range(i + 1, n_texts)
-            if active[j]
-        }
+        candidate_indices = [index for index in range(n_texts) if active[index]]
+        candidates = itertools.combinations(candidate_indices, 2)
     else:
         bands, rows = choose_band_structure(_NUM_PERM, threshold)
-        signatures = np.stack([profile.signature for _, profile in distinct])
         candidates = LSHIndex(bands=bands, rows=rows).candidate_pairs(
-            signatures, active=active
+            np.stack([profile.signature for _, profile in distinct]), active=active
         )
-    if not candidates:
+        candidate_indices = sorted({index for pair in candidates for index in pair})
+    if len(candidate_indices) < 2:
         return set()
 
-    candidate_indices = sorted({index for pair in candidates for index in pair})
     texts = fetch_normalized_texts(
         [distinct[index][1].url for index in candidate_indices]
     )
-    shingles = {
-        index: _shingles_from_tokens(
+    shingle_ids: Dict[Tuple[str, ...], int] = {}
+    bitsets: List[int] = [0] * n_texts
+    sizes: List[int] = [0] * n_texts
+    for index in candidate_indices:
+        shingles = _shingles_from_tokens(
             tokenize(texts[distinct[index][1].url]), _SHINGLE_K
         )
-        for index in candidate_indices
-    }
+        bits = 0
+        for shingle in shingles:
+            bits |= 1 << shingle_ids.setdefault(shingle, len(shingle_ids))
+        bitsets[index], sizes[index] = bits, len(shingles)
+    del shingle_ids, texts
+
     near: Set[str] = set()
-    for i, j in sorted(candidates):
-        shingles_a, shingles_b = shingles[i], shingles[j]
-        smaller, larger = sorted((len(shingles_a), len(shingles_b)))
+    for i, j in candidates:
+        size_a, size_b = sizes[i], sizes[j]
+        smaller, larger = (size_a, size_b) if size_a <= size_b else (size_b, size_a)
         if larger > 0 and smaller / larger < threshold:
             # Even perfect containment cannot reach the threshold.
             continue
-        if jaccard_similarity(shingles_a, shingles_b) >= threshold:
+        shared = (bitsets[i] & bitsets[j]).bit_count()
+        union = size_a + size_b - shared
+        if (shared / union if union else 1.0) >= threshold:
             near.add(distinct[i][0])
             near.add(distinct[j][0])
     return near
@@ -406,6 +432,7 @@ def finalize_duplicate_report(
     # Short policies (per Action, raw character count).
     short = sum(1 for profile in fetched.values() if profile.n_chars < short_policy_chars)
     report.short_share = short / report.n_policies_fetched
+    report.n_untokenized = sum(1 for profile in fetched.values() if profile.untokenized)
     return report
 
 

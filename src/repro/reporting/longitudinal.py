@@ -18,8 +18,8 @@ stores, incremental stores) — and derives per-transition churn metrics:
   bytes drifted (revision rotations, vendor re-issues), and per-epoch
   availability, the Section 5.1.1 metric tracked over time.
 
-Everything streams record-by-record (one content hash per record is
-retained, never the records themselves), so a longitudinal series of
+Everything streams record-by-record (one 32-byte content digest per record
+is retained, never the records themselves), so a longitudinal series of
 sharded epochs is analyzed in bounded memory.  Only keys are compared, so
 records are read in storage order, never merged into discovery order.
 """
@@ -35,19 +35,19 @@ from repro.io.shards import ShardedCorpusStore, gpt_content_key
 from repro.reporting.markdown import format_table
 
 
-def _record_content_keys(source) -> Dict[str, str]:
+def _record_content_keys(source) -> Dict[str, bytes]:
     """``gpt_id → content key`` of every GPT record of one epoch."""
     if isinstance(source, ShardedCorpusStore):
         return dict(source.iter_content_keys())
     return {gpt.gpt_id: gpt_content_key(gpt_to_payload(gpt)) for gpt in source.iter_records()}
 
 
-def _policy_signature(result) -> Tuple[int, str]:
-    """(status, text hash) pair identifying one policy fetch outcome."""
+def _policy_signature(result) -> Tuple[int, bytes]:
+    """(status, text digest) pair identifying one policy fetch outcome."""
     text = result.text if result.text is not None else ""
     return (
         result.status,
-        hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        hashlib.sha256(text.encode("utf-8")).digest(),
     )
 
 
@@ -114,10 +114,10 @@ class LongitudinalReport:
         return [transition.summary() for transition in self.transitions]
 
 
-def _epoch_inventory(source) -> Tuple[Dict[str, str], Dict[str, Tuple[int, str]], float]:
-    """Content hashes and policy signatures of one epoch (one streaming pass)."""
+def _epoch_inventory(source) -> Tuple[Dict[str, bytes], Dict[str, Tuple[int, bytes]], float]:
+    """Content digests and policy signatures of one epoch (one streaming pass)."""
     records = _record_content_keys(source)
-    policies: Dict[str, Tuple[int, str]] = {}
+    policies: Dict[str, Tuple[int, bytes]] = {}
     n_available = 0
     for result in _iter_policies(source):
         policies[result.url] = _policy_signature(result)

@@ -167,12 +167,12 @@ def test_plain_records_take_the_fast_paths():
     assert _restamp_carried_line(line, 42, stores_json) == canonical_json(expected)
 
 
-def _content_key_oracle(line: str) -> str:
+def _content_key_oracle(line: str) -> bytes:
     """sha256 of the parsed record re-encoded with the two fields normalized."""
     record = json.loads(line)
     record[DISCOVERY_INDEX_KEY] = 0
     record["source_stores"] = []
-    return hashlib.sha256(canonical_json(record).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(record).encode("utf-8")).digest()
 
 
 @settings(deadline=None)
